@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 
 import numpy as np
@@ -300,6 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="dimension and entropy experiments on finite quantum metric spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    path_keys = set()
+
+    def file_arg(sp, flag, **kw):
+        # a flag naming a file; its header entry is relative to the output's directory
+        path_keys.add(sp.add_argument(flag, metavar="FILE", **kw).dest)
 
     def common(sp):
         sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
@@ -319,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--n-min", type=int, default=1)
     sp.add_argument("--n-max", type=int, default=6)
-    sp.add_argument("--element", default=None, help="twisted-polynomial JSON to bracket")
-    sp.add_argument("--element-out", default=None, help="write its Cesàro mean as JSON")
+    file_arg(sp, "--element", default=None, help="twisted-polynomial JSON to bracket")
+    file_arg(sp, "--element-out", default=None, help="write its Cesàro mean as JSON")
     common(sp)
 
     sp = sub.add_parser("shift-entropy", help="shift entropy brackets")
@@ -337,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("kolmogorov", help="net statistics and box dimension")
-    sp.add_argument("--points", default=None, help="CSV of points, one per row")
-    sp.add_argument("--matrix", default=None, help="CSV distance matrix")
+    file_arg(sp, "--points", default=None, help="CSV of points, one per row")
+    file_arg(sp, "--matrix", default=None, help="CSV distance matrix")
     sp.add_argument("--delta-grid", required=True, help="a:b:steps geometric grid")
     common(sp)
 
@@ -354,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("dim-bracket", help="dimension brackets for a vector family")
-    sp.add_argument("--vectors", required=True, help="JSON family path")
+    file_arg(sp, "--vectors", required=True, help="JSON family path")
     sp.add_argument("--delta-grid", required=True)
     sp.add_argument("--norm-tag", default="cstar")
     sp.add_argument("--nonstrict", action="store_true")
@@ -364,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("source", help="file produced by a previous run")
     sp.add_argument("--out", default=None)
     sp.add_argument("--json-out", default=None)
+    parser.path_keys = frozenset(path_keys)
     return parser
 
 
@@ -379,9 +386,31 @@ _CONFIG_KEYS = {
 }
 
 
-def _dispatch(command: str, params: dict, out, json_out, stamp: bool) -> None:
-    body, summary = RUNNERS[command](params)
-    header = _header(command, params, stamp)
+def _relocate(params: dict, path_keys, src_dir: str, out) -> tuple[dict, dict]:
+    """File paths as this run uses them and as its header records them.
+
+    A relative path in a header is relative to the directory of the file
+    holding that header (the working directory when the output goes to
+    stdout); a rerun reads the paths recorded in FILE from FILE's directory.
+    A recorded string is kept as written while it still names the same file.
+    """
+    out_dir = os.getcwd() if out in (None, "-") else os.path.dirname(os.path.abspath(out))
+    used, recorded = dict(params), dict(params)
+    for k in path_keys & params.keys():
+        v = params[k]
+        if not v or os.path.isabs(v):
+            continue
+        used[k] = os.path.join(src_dir, v)
+        if os.path.abspath(os.path.join(out_dir, v)) != os.path.abspath(used[k]):
+            recorded[k] = os.path.relpath(used[k], out_dir)
+    return used, recorded
+
+
+def _dispatch(command: str, params: dict, path_keys, out, json_out, stamp: bool,
+              src_dir: str = "") -> None:
+    used, recorded = _relocate(params, path_keys, src_dir, out)
+    body, summary = RUNNERS[command](used)
+    header = _header(command, recorded, stamp)
     _emit(out, header, body)
     if json_out is not None:
         _emit_json(json_out, summary)
@@ -404,10 +433,12 @@ def main(argv=None) -> int:
             command = cfg.pop("command")
             if command not in RUNNERS:
                 raise PreconditionError(f"unknown command {command!r} in config")
-            _dispatch(command, cfg, args.out, args.json_out, stamp=False)
+            _dispatch(command, cfg, parser.path_keys, args.out, args.json_out, stamp=False,
+                      src_dir=os.path.dirname(args.source))
         else:
             params = {k: getattr(args, k) for k in _CONFIG_KEYS[args.command]}
-            _dispatch(args.command, params, args.out, args.json_out, args.stamp)
+            _dispatch(args.command, params, parser.path_keys, args.out, args.json_out,
+                      args.stamp)
     except QMetricError as exc:
         print(f"qmetric: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,12 +1,22 @@
-"""Product-entropy estimators: orbit product sets, the shift-entropy
-bracket on tensor powers of M_p, Minkowski-sum growth of integer lattice
-sets under unimodular toral matrices, the eigenvalue closed form
-Σ_{|λ|>=1} log|λ|, and a computable box bound on sum-set cardinalities.
+"""Product-entropy estimators: orbit product sets, the shift-entropy bracket
+on tensor powers of M_p, Minkowski-sum growth of integer lattice sets under
+unimodular toral matrices, the eigenvalue closed form Σ_{|λ|>=1} log|λ|, and
+a computable box bound on sum-set cardinalities.
 
-Lattice sets are stored as sorted unique int64 keys packing the
+Lattice sets are stored as sorted unique uint64 keys packing the
 coordinates: 32 bits per coordinate for p <= 2, 16 bits for p in {3, 4}
 (the cat-map run to n = 14 reaches coordinates near 5·10^5, beyond 16
-bits). Packing overflow aborts rather than wraps.
+bits). Each set also carries its coordinate bounding box. A Minkowski sum
+is translate-and-merge: every point of the smaller summand translates the
+larger summand's keys by one integer add, which keeps their order, and
+the sorted runs are merged by a stable sort and deduplicated by comparing
+neighbours. The box of a sum is the sum of the boxes; it is checked
+against the field range before any add, because an add that leaves the
+field would carry silently into the next one. Packing overflow aborts
+rather than wraps. Translates are merged in batches of at most 2^22 keys,
+with the lattice cap checked after each batch. The growth
+S_n = Σ_{j<n} T^j K_m adds the cube T^j K_m as p segments
+{-m..m}·T^j e_i, so a step holds at most (2m+1)·|S| candidate keys.
 
 Growth slopes are tail regressions with per-step log differences reported
 as diagnostics; no claimed limits.
@@ -14,11 +24,11 @@ as diagnostics; no claimed limits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .approxdim import dim_exact_orthonormal
 from .caps import check_cap
@@ -50,45 +60,88 @@ def _coord_bits(p: int) -> int:
     raise PreconditionError("lattice sets support dimensions p <= 4")
 
 
+def _check_range(lo, hi, p: int) -> None:
+    """Abort when a box leaves the packable range |x| < 2^(bits-1)."""
+    bits = _coord_bits(p)
+    limit = 1 << (bits - 1)
+    worst = max([-x for x in lo] + [x for x in hi], default=0)
+    if worst >= limit:
+        raise ResourceLimitError(f"lattice coordinate {worst} exceeds {bits}-bit packing")
+
+
 def _pack(points: np.ndarray, p: int) -> np.ndarray:
     bits = _coord_bits(p)
+    if points.size:
+        _check_range(points.min(axis=0).tolist(), points.max(axis=0).tolist(), p)
     offset = 1 << (bits - 1)
-    if points.size and int(np.abs(points).max()) >= offset:
-        raise ResourceLimitError(
-            f"lattice coordinate {int(np.abs(points).max())} exceeds {bits}-bit packing"
-        )
-    keys = np.zeros(len(points), dtype=np.int64)
+    keys = np.zeros(len(points), dtype=np.uint64)
     for i in range(p):
-        keys |= (points[:, i].astype(np.int64) + offset) << (bits * i)
+        keys |= (points[:, i] + offset).astype(np.uint64) << np.uint64(bits * i)
     return keys
 
 
 def _unpack(keys: np.ndarray, p: int) -> np.ndarray:
     bits = _coord_bits(p)
     offset = 1 << (bits - 1)
-    mask = (1 << bits) - 1
+    mask = np.uint64((1 << bits) - 1)
     pts = np.empty((len(keys), p), dtype=np.int64)
     for i in range(p):
-        pts[:, i] = ((keys >> (bits * i)) & mask) - offset
+        pts[:, i] = ((keys >> np.uint64(bits * i)) & mask).astype(np.int64) - offset
     return pts
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sort in place (stable: timsort merges presorted runs) and drop repeats."""
+    keys.sort(kind="stable")
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 @dataclass(frozen=True)
 class LatticeSet:
-    """Finite subset of Z^p with set semantics (sorted unique packed keys)."""
+    """Finite subset of Z^p with set semantics.
+
+    ``LatticeSet(p, keys)`` takes packed keys in any order, sorts them and
+    drops repeats; ``lo``/``hi`` are the coordinate bounding box, derived
+    from the keys.
+    """
 
     p: int
     keys: np.ndarray = field(repr=False)
+    lo: tuple[int, ...] = field(init=False)
+    hi: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        keys = np.unique(np.asarray(self.keys, dtype=np.int64))
+        keys = _sorted_unique(np.array(self.keys, dtype=np.uint64).ravel())
+        pts = _unpack(keys, self.p)
+        lo = tuple(pts.min(axis=0).tolist()) if len(keys) else (0,) * self.p
+        hi = tuple(pts.max(axis=0).tolist()) if len(keys) else (0,) * self.p
+        self._set(keys, lo, hi)
+
+    def _set(self, keys: np.ndarray, lo, hi) -> None:
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def _trusted(cls, p: int, keys: np.ndarray, lo, hi) -> "LatticeSet":
+        """A set from keys already sorted and unique and their box, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        self._set(keys, lo, hi)
+        return self
 
     @classmethod
     def from_points(cls, p: int, points) -> "LatticeSet":
         pts = np.asarray(points, dtype=np.int64).reshape(-1, p)
-        return cls(p, _pack(pts, p))
+        if not len(pts):
+            return cls._trusted(p, np.zeros(0, dtype=np.uint64), (0,) * p, (0,) * p)
+        keys = _sorted_unique(_pack(pts, p))
+        return cls._trusted(p, keys, tuple(pts.min(axis=0).tolist()),
+                            tuple(pts.max(axis=0).tolist()))
 
     @classmethod
     def cube(cls, p: int, m: int) -> "LatticeSet":
@@ -118,32 +171,38 @@ class LatticeSet:
         return bool(i < len(self.keys) and self.keys[i] == key)
 
 
+# candidate keys translated per merge: about 32 MB
+_MERGE_BUDGET = 1 << 22
+
+
 def minkowski_sum(a: LatticeSet, b: LatticeSet) -> LatticeSet:
-    """{x + y : x in a, y in b}; cardinality kept under the lattice cap."""
+    """{x + y : x in a, y in b}; cardinality kept under the lattice cap.
+
+    Translates of the larger key array, one per point of the smaller set,
+    are merged into the running sum in batches of at most _MERGE_BUDGET
+    keys, with the cap checked after each batch; peak memory is about
+    |a + b| + _MERGE_BUDGET keys.
+    """
     if a.p != b.p:
         raise PreconditionError("summands have different dimensions")
+    p = a.p
     if a.cardinality == 0 or b.cardinality == 0:
-        return LatticeSet(a.p, np.zeros(0, dtype=np.int64))
+        return LatticeSet.from_points(p, [])
+    lo = tuple(x + y for x, y in zip(a.lo, b.lo))
+    hi = tuple(x + y for x, y in zip(a.hi, b.hi))
+    # inside the range a translate is one add per key and keeps the order
+    _check_range(lo, hi, p)
     small, large = (a, b) if a.cardinality <= b.cardinality else (b, a)
-    pts = large.points()
-    parts: list[np.ndarray] = []
-    running = None
-    for offset in small.points():
-        parts.append(_pack(pts + offset[None, :], a.p))
-        if sum(len(x) for x in parts) > 4_000_000:
-            merged = np.unique(np.concatenate(parts))
-            running = merged if running is None else np.union1d(running, merged)
-            parts = []
-            _check_card(len(running))
-    if parts:
-        merged = np.unique(np.concatenate(parts))
-        running = merged if running is None else np.union1d(running, merged)
-    _check_card(len(running))
-    return LatticeSet(a.p, running)
-
-
-def _check_card(n: int) -> None:
-    check_cap("lattice_card", n, "lattice set")
+    check_cap("lattice_card", large.cardinality, "lattice set")
+    origin = _pack(np.zeros((1, p), dtype=np.int64), p)
+    shifts = small.keys - origin  # wraps modulo 2^64 for negative offsets
+    batch = max(1, _MERGE_BUDGET // large.cardinality)
+    keys = None
+    for start in range(0, len(shifts), batch):
+        translates = (shifts[start:start + batch, None] + large.keys[None, :]).ravel()
+        keys = _sorted_unique(translates if keys is None else np.concatenate([keys, translates]))
+        check_cap("lattice_card", len(keys), "lattice set")
+    return LatticeSet._trusted(p, keys, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -198,17 +257,27 @@ def _int_det(rows: list[list[int]]) -> int:
 def lattice_orbit_card(T, m: int, n: int) -> GrowthSeries:
     """Cardinalities c_j of K_m + ζ_T K_m + ... + ζ_T^{j-1} K_m for j = 1..n.
 
-    Computed by the equivalent recursion S_{j+1} = ζ_T(S_j) + K_m.
+    Summed literally, S_{j+1} = S_j + Σ_i {-m..m}·T^j e_i: p Minkowski sums
+    with a (2m+1)-point segment per step.
     """
     T = _as_unimodular(T)
     if m < 1 or n < 1:
         raise PreconditionError("need m >= 1 and n >= 1")
     p = T.shape[0]
-    K = LatticeSet.cube(p, m)
-    S = K
+    T_int = T.tolist()
+    ks = np.arange(-m, m + 1, dtype=np.int64)[:, None]
+    S = LatticeSet.cube(p, m)
     counts = [S.cardinality]
+    Tj = np.eye(p, dtype=np.int64).tolist()
     for _ in range(1, n):
-        S = minkowski_sum(S.linear_image(T), K)
+        # exact integer powers, range-checked before they become int64 arrays
+        Tj = [[sum(T_int[r][k] * Tj[k][c] for k in range(p)) for c in range(p)]
+              for r in range(p)]
+        reach = m * max(abs(x) for row in Tj for x in row)
+        _check_range((-reach,), (reach,), p)
+        for i in range(p):
+            column = np.array([row[i] for row in Tj], dtype=np.int64)
+            S = minkowski_sum(S, LatticeSet.from_points(p, ks * column))
         counts.append(S.cardinality)
     return GrowthSeries(tuple(counts))
 
@@ -260,8 +329,44 @@ def char_poly_int(T) -> list[int]:
     return out
 
 
-def _eigenvalues(T) -> np.ndarray:
-    coeffs = char_poly_int(T)
+def _poly_divmod(a, b):
+    """Exact quotient and remainder of polynomials, highest degree first."""
+    a = [Fraction(x) for x in a]
+    quot = []
+    while len(a) >= len(b):
+        q = a[0] / b[0]
+        quot.append(q)
+        for k in range(len(b)):
+            a[k] -= q * b[k]
+        a.pop(0)
+    while a and a[0] == 0:
+        a.pop(0)
+    return quot, a
+
+
+def _poly_gcd(a, b):
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [x / a[0] for x in a]
+
+
+def _radical_factors(coeffs) -> list[list[int]]:
+    """Squarefree factors of a monic integer polynomial whose roots, pooled,
+    are its roots with their multiplicities (rest ← rest / radical(rest))."""
+    factors = []
+    rest = [Fraction(c) for c in coeffs]
+    while len(rest) > 1:
+        deriv = [c * (len(rest) - 1 - i) for i, c in enumerate(rest[:-1])]
+        radical = _poly_divmod(rest, _poly_gcd(rest, deriv))[0]
+        rest = _poly_divmod(rest, radical)[0]
+        # monic factors of a monic integer polynomial are integral (Gauss)
+        if any(c.denominator != 1 for c in radical):
+            raise NumericalError("squarefree factor must be integral")
+        factors.append([int(c) for c in radical])
+    return factors
+
+
+def _poly_roots(coeffs) -> np.ndarray:
     n = len(coeffs) - 1
     if n == 2:
         # quadratic formula: λ² + b λ + c
@@ -272,6 +377,11 @@ def _eigenvalues(T) -> np.ndarray:
     return np.roots(np.array(coeffs, dtype=float))
 
 
+def _eigenvalues(T) -> np.ndarray:
+    # np.roots smears repeated roots, so each factor it sees is squarefree
+    return np.concatenate([_poly_roots(f) for f in _radical_factors(char_poly_int(T))])
+
+
 def eigen_entropy(T) -> float:
     """Σ log|λ_i| over eigenvalues of T with |λ_i| >= 1 (spectral multiplicity)."""
     T = _as_unimodular(T)
@@ -280,15 +390,20 @@ def eigen_entropy(T) -> float:
     return float(np.sum(np.log(mods[mods >= 1.0 - 1e-9])))
 
 
-def _real_block_basis(T: np.ndarray):
-    """Real basis adapted to the spectral subspaces of T.
+@functools.lru_cache(maxsize=32)
+def _real_block_basis(rows: tuple[tuple[int, ...], ...]):
+    """Real basis adapted to the spectral subspaces of T, given as a tuple
+    of integer rows; cached per matrix, with a read-only P.
 
     Returns (P, blocks, defective) with T = P A P^{-1}, A block diagonal in
-    the returned real basis, blocks a list of (slice, |λ|), and defective
+    the returned real basis, blocks a tuple of (slice, |λ|), and defective
     true when some Jordan block exceeds size 1. Exact via sympy Jordan form;
     conjugate complex chains are merged into real 2d-blocks.
     """
-    M = sympy.Matrix([[int(x) for x in row] for row in T])
+    import sympy  # the only user; importing it costs more than the rest of qmetric
+
+    T = np.array(rows, dtype=np.int64)
+    M = sympy.Matrix(rows)
     n = M.shape[0]
     Psym, Jsym = M.jordan_form()
     raw_blocks = []
@@ -340,7 +455,8 @@ def _real_block_basis(T: np.ndarray):
     off = np.abs(A[~mask]).max(initial=0.0)
     if off > 1e-9 * max(1.0, np.abs(A).max()):
         raise NumericalError(f"spectral basis failed to block-diagonalize T (off={off:.2e})")
-    return P, blocks, defective
+    P.flags.writeable = False
+    return P, tuple(blocks), defective
 
 
 def box_bound_card(T, m: int, n: int, delta_pad: float = 0.0) -> float:
@@ -360,7 +476,7 @@ def box_bound_card(T, m: int, n: int, delta_pad: float = 0.0) -> float:
     if delta_pad < 0:
         raise PreconditionError("delta_pad must be >= 0")
     p = T.shape[0]
-    P, blocks, defective = _real_block_basis(T)
+    P, blocks, defective = _real_block_basis(tuple(map(tuple, T.tolist())))
     if defective and delta_pad <= 0:
         raise PreconditionError("defective spectrum requires delta_pad > 0")
     Pinv = np.linalg.inv(P)

@@ -177,3 +177,77 @@ def test_more_error_paths(tmp_path):
                 "--delta-grid", "0.3:0.1:3", "--out", tmp_path / "y"]) == 2
     assert run(["cesaro-rate", "--n-list", "1,16", "--out", tmp_path / "z"]) == 2
     assert run(["kolmogorov", "--delta-grid", "0.3:0.1:3", "--out", tmp_path / "w"]) == 2
+
+
+def test_rerun_resolves_inputs_against_source_dir(tmp_path, monkeypatch):
+    # relative paths in a header are relative to the header's file, so a
+    # rerun from another directory reads the same input
+    work = tmp_path / "work"
+    work.mkdir()
+    np.savetxt(work / "grid.csv", np.linspace(0.0, 1.0, 40).reshape(-1, 1), delimiter=",")
+    monkeypatch.chdir(work)
+    assert run(["kolmogorov", "--points", "grid.csv", "--delta-grid", "0.25:0.03125:4",
+                "--out", "nets.csv"]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert run(["rerun", "work/nets.csv", "--out", "work/same.csv"]) == 0
+    assert (work / "nets.csv").read_bytes() == (work / "same.csv").read_bytes()
+    # a rerun written elsewhere records the input relative to its own file
+    assert run(["rerun", "work/nets.csv", "--out", "again.csv"]) == 0
+    assert body_of(tmp_path / "again.csv") == body_of(work / "nets.csv")
+    assert extract_config("again.csv")["points"] == "work/grid.csv"
+    monkeypatch.chdir(work)
+    assert run(["rerun", "../again.csv", "--out", "third.csv"]) == 0
+    assert (work / "nets.csv").read_bytes() == (work / "third.csv").read_bytes()
+
+
+def test_rerun_of_output_written_to_a_subdirectory(tmp_path, monkeypatch):
+    # inputs are typed relative to the working directory, the output goes
+    # below it; the rerun from that working directory finds the same files
+    from qmetric import nctorus
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").mkdir()
+    np.savetxt("grid.csv", np.linspace(0.0, 1.0, 40).reshape(-1, 1), delimiter=",")
+    assert run(["kolmogorov", "--points", "grid.csv", "--delta-grid", "0.25:0.03125:4",
+                "--out", "results/nets.csv"]) == 0
+    assert extract_config("results/nets.csv")["points"] == "../grid.csv"
+    assert run(["rerun", "results/nets.csv", "--out", "results/again.csv"]) == 0
+    assert (tmp_path / "results/nets.csv").read_bytes() == \
+        (tmp_path / "results/again.csv").read_bytes()
+
+    poly = nctorus.TwistedPolynomial(nctorus.PhaseMatrix.two_torus(0.25), {(1, 0): 1.0})
+    (tmp_path / "elem.json").write_text(nctorus.polynomial_to_json(poly))
+    assert run(["torus-dim", "--n-max", 3, "--element", "elem.json",
+                "--element-out", "smoothed.json", "--out", "results/td.csv"]) == 0
+    written = (tmp_path / "smoothed.json").read_bytes()
+    (tmp_path / "smoothed.json").unlink()
+    assert run(["rerun", "results/td.csv", "--out", "results/td2.csv"]) == 0
+    # the rerun writes the element where the original run wrote it
+    assert (tmp_path / "smoothed.json").read_bytes() == written
+    assert not (tmp_path / "results/smoothed.json").exists()
+    assert (tmp_path / "results/td.csv").read_bytes() == \
+        (tmp_path / "results/td2.csv").read_bytes()
+
+
+def test_file_flags_are_recorded_as_paths():
+    # every flag that names a file is marked where the parser defines it
+    from qmetric.cli import build_parser
+
+    assert build_parser().path_keys == {"points", "matrix", "vectors", "element",
+                                        "element_out"}
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is imported only by the Jordan-form helper that needs it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qmetric
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qmetric.__file__).resolve().parents[1]))
+    code = "import sys, qmetric.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

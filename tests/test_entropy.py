@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetric import entropy, nctorus, weyl
 from qmetric.errors import PreconditionError, ResourceLimitError
@@ -47,6 +49,10 @@ def test_minkowski_cap(monkeypatch):
     k1 = entropy.LatticeSet.cube(2, 1)
     with pytest.raises(ResourceLimitError):
         entropy.minkowski_sum(k1, k1)
+    # every intermediate set of a growth is checked
+    monkeypatch.setenv("QMETRIC_CAP", "lattice_card=100")
+    with pytest.raises(ResourceLimitError):
+        entropy.lattice_orbit_card(CAT, 1, 5)
 
 
 def test_packing_overflow_aborts():
@@ -92,6 +98,10 @@ def test_eigen_entropy_values():
     assert entropy.eigen_entropy(CAT) == pytest.approx(np.log((3 + np.sqrt(5)) / 2), rel=1e-12)
     with pytest.raises(PreconditionError):
         entropy.eigen_entropy(np.array([[2, 0], [0, 2]]))
+    # repeated roots: unipotent Jordan blocks have entropy exactly 0
+    for p in (3, 4):
+        J = np.eye(p, dtype=np.int64) + np.eye(p, k=1, dtype=np.int64)
+        assert entropy.eigen_entropy(J) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eigen_entropy_power_law():
@@ -284,3 +294,132 @@ def test_four_dimensional_block_cat():
         entropy.box_bound_card(big, 1, n, 0.05) >= c
         for n, c in enumerate(series.counts, start=1)
     )
+
+
+def oracle_orbit_set(T, m, n):
+    """Σ_{j<n} T^j K_m from Python sets of integer tuples, independent of the engine."""
+    T = [[int(x) for x in row] for row in T]
+    p = len(T)
+    term = list(itertools.product(range(-m, m + 1), repeat=p))
+    total = set(term)
+    for _ in range(1, n):
+        term = [tuple(sum(T[i][k] * x[k] for k in range(p)) for i in range(p)) for x in term]
+        total = {tuple(a + b for a, b in zip(s, x)) for s in total for x in term}
+    return total
+
+
+@st.composite
+def growth_cases(draw):
+    p = draw(st.sampled_from([2, 3]))
+    T = np.eye(p, dtype=np.int64)
+    # a product of elementary row operations is unimodular
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.permutations(range(p)))[:2]
+        kind = draw(st.sampled_from(["shear", "swap", "negate"]))
+        if kind == "shear":
+            T[i] += draw(st.sampled_from([-2, -1, 1, 2])) * T[j]
+        elif kind == "swap":
+            T[[i, j]] = T[[j, i]]
+        else:
+            T[i] = -T[i]
+    m = draw(st.sampled_from([1, 2]))
+    n_max = {(2, 1): 5, (2, 2): 4, (3, 1): 3, (3, 2): 2}[p, m]
+    return T, m, draw(st.integers(1, n_max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(growth_cases())
+def test_orbit_card_matches_set_oracle(case):
+    T, m, n = case
+    counts = entropy.lattice_orbit_card(T, m, n).counts
+    assert counts == tuple(len(oracle_orbit_set(T, m, j)) for j in range(1, n + 1))
+
+
+def test_orbit_growth_across_field_raises():
+    # 16-bit fields: T^2 e_1 = (40000, 1, 0) cannot be packed
+    with pytest.raises(ResourceLimitError):
+        entropy.lattice_orbit_card(np.array([[1, 20000, 0], [0, 1, 0], [0, 0, 1]]), 1, 3)
+    # each segment fits, but the box of the sum (1 + 15000 + 30000) does not
+    with pytest.raises(ResourceLimitError):
+        entropy.lattice_orbit_card(np.array([[1, 15000, 0], [0, 1, 0], [0, 0, 1]]), 1, 3)
+    a = entropy.LatticeSet.from_points(3, [[20000, 0, 0], [0, 0, 0]])
+    with pytest.raises(ResourceLimitError):
+        entropy.minkowski_sum(a, a)
+    b = entropy.LatticeSet.from_points(2, [[0, 2**30], [0, 0]])
+    with pytest.raises(ResourceLimitError):
+        entropy.minkowski_sum(b, b)
+
+
+def test_orbit_growth_at_field_edge_matches_oracle():
+    # the box of K_1 + T K_1 reaches 1 + 1 + 32765 = 32767, the largest 16-bit coordinate
+    T = np.array([[1, 32765, 0], [0, 1, 0], [0, 0, 1]])
+    assert entropy.lattice_orbit_card(T, 1, 2).counts == (27, len(oracle_orbit_set(T, 1, 2)))
+    with pytest.raises(ResourceLimitError):
+        entropy.lattice_orbit_card(T, 1, 3)
+    a = entropy.LatticeSet.from_points(3, [[32000, 0, -5], [-32000, 5, 0], [0, -32767, 0]])
+    b = entropy.LatticeSet.from_points(3, [[767, 0, 1], [-767, 2, -1], [0, 0, 0]])
+    got = entropy.minkowski_sum(a, b)
+    want = {tuple(int(u + v) for u, v in zip(x, y)) for x in a.points() for y in b.points()}
+    assert set(map(tuple, got.points().tolist())) == want
+    assert (got.lo, got.hi) == ((-32767, -32767, -6), (32767, 7, 1))
+    c = entropy.LatticeSet.from_points(2, [[2**31 - 2, -(2**31 - 2)], [0, 0]])
+    one = entropy.LatticeSet.from_points(2, [[1, -1], [-1, 1]])
+    edge = entropy.minkowski_sum(c, one)
+    assert set(map(tuple, edge.points().tolist())) == {
+        (2**31 - 1, -(2**31 - 1)), (2**31 - 3, -(2**31 - 3)), (1, -1), (-1, 1)}
+
+
+def test_box_bound_computes_one_jordan_form(monkeypatch):
+    import sympy
+
+    calls = []
+    jordan_form = sympy.Matrix.jordan_form
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return jordan_form(self, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Matrix, "jordan_form", counting)
+    entropy._real_block_basis.cache_clear()
+    bounds = [entropy.box_bound_card(CAT, 1, n, 0.05) for n in range(1, 6)]
+    assert len(calls) == 1
+    assert bounds == sorted(bounds)
+    P = entropy._real_block_basis(((2, 1), (1, 1)))[0]
+    assert not P.flags.writeable
+
+
+def test_constructor_normalises_keys_and_derives_box():
+    pts = [[3, -1], [0, 0], [-2, 5], [3, -1]]
+    ref = entropy.LatticeSet.from_points(2, pts)
+    shuffled = entropy.LatticeSet(2, ref.keys[::-1].copy().repeat(2))
+    assert np.array_equal(shuffled.keys, ref.keys)
+    assert (shuffled.lo, shuffled.hi) == (ref.lo, ref.hi) == ((-2, -1), (3, 5))
+    # sums of a constructed set see the right box, so they still abort at the field edge
+    edge = entropy.LatticeSet(3, entropy.LatticeSet.from_points(3, [[32000, 0, 0]]).keys)
+    with pytest.raises(ResourceLimitError):
+        entropy.minkowski_sum(edge, edge)
+
+
+def test_minkowski_merge_is_bounded_under_the_cap(monkeypatch):
+    # the full product would be 3000^2 keys (72 MB); the cap stops the sum
+    # after the first small batch of translates
+    import tracemalloc
+
+    a = entropy.LatticeSet.from_points(2, np.column_stack([np.arange(3000), np.zeros(3000)]))
+    b = entropy.LatticeSet.from_points(2, np.column_stack([np.zeros(3000), np.arange(3000)]))
+    monkeypatch.setattr(entropy, "_MERGE_BUDGET", 1 << 15)
+    monkeypatch.setenv("QMETRIC_CAP", "lattice_card=100000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            entropy.minkowski_sum(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 3000 * 8 // 8
+    # in batches the sum is the same as in one pass
+    small = entropy.LatticeSet.cube(2, 3)
+    monkeypatch.delenv("QMETRIC_CAP")
+    batched = entropy.minkowski_sum(a, small)
+    monkeypatch.setattr(entropy, "_MERGE_BUDGET", 1 << 22)
+    assert np.array_equal(batched.keys, entropy.minkowski_sum(a, small).keys)
