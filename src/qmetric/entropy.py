@@ -33,6 +33,7 @@ import numpy as np
 from .approxdim import dim_exact_orthonormal
 from .caps import check_cap
 from .errors import NumericalError, PreconditionError, ResourceLimitError
+from .linalg import as_unimodular
 from .nctorus import TwistedPolynomial
 from .weyl import WeylElement, weyl_expand
 
@@ -160,10 +161,25 @@ class LatticeSet:
         return _unpack(self.keys, self.p)
 
     def linear_image(self, T) -> "LatticeSet":
-        T = np.asarray(T, dtype=np.int64)
+        """{Tx : x in self}; aborts when the image's box leaves the packable range.
+
+        The box is bounded in exact integers before the multiply, which
+        would otherwise wrap silently. The multiply runs modulo 2^64 in
+        uint64, which is exact once the image is known to lie in the box.
+        """
+        T = np.asarray(T)
         if T.shape != (self.p, self.p):
             raise PreconditionError("matrix shape does not match lattice dimension")
-        return LatticeSet.from_points(self.p, self.points() @ T.T)
+        rows = [[int(x) for x in row] for row in T.tolist()]
+        if not self.cardinality:
+            return self
+        corners = [[sorted((t * lo, t * hi)) for t, lo, hi in zip(row, self.lo, self.hi)]
+                   for row in rows]
+        _check_range([sum(c[0] for c in row) for row in corners],
+                     [sum(c[1] for c in row) for row in corners], self.p)
+        T_mod = np.array([[t % (1 << 64) for t in row] for row in rows], dtype=np.uint64)
+        image = (self.points().astype(np.uint64) @ T_mod.T).view(np.int64)
+        return LatticeSet.from_points(self.p, image)
 
     def __contains__(self, point) -> bool:
         key = _pack(np.asarray(point, dtype=np.int64).reshape(1, self.p), self.p)[0]
@@ -229,38 +245,13 @@ class EntropyEstimate:
     diffs: tuple[float, ...]
 
 
-def _as_unimodular(T) -> np.ndarray:
-    T = np.asarray(T)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise PreconditionError("T must be a square matrix")
-    Tr = np.rint(np.asarray(T, dtype=float))
-    if np.abs(np.asarray(T, dtype=float) - Tr).max(initial=0.0) > 0:
-        raise PreconditionError("T must have integer entries")
-    T = Tr.astype(np.int64)
-    d = _int_det([[int(x) for x in row] for row in T])
-    if abs(d) != 1:
-        raise PreconditionError(f"|det T| must be 1, got {d}")
-    return T
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _int_det(minor)
-    return total
-
-
 def lattice_orbit_card(T, m: int, n: int) -> GrowthSeries:
     """Cardinalities c_j of K_m + ζ_T K_m + ... + ζ_T^{j-1} K_m for j = 1..n.
 
     Summed literally, S_{j+1} = S_j + Σ_i {-m..m}·T^j e_i: p Minkowski sums
     with a (2m+1)-point segment per step.
     """
-    T = _as_unimodular(T)
+    T = as_unimodular(T)
     if m < 1 or n < 1:
         raise PreconditionError("need m >= 1 and n >= 1")
     p = T.shape[0]
@@ -284,7 +275,7 @@ def lattice_orbit_card(T, m: int, n: int) -> GrowthSeries:
 
 def literal_orbit_set(T, m: int, n: int) -> LatticeSet:
     """K_m + ζ_T(K_m) + ... + ζ_T^{n-1}(K_m) summed literally (cross-check oracle)."""
-    T = _as_unimodular(T)
+    T = as_unimodular(T)
     p = T.shape[0]
     K = LatticeSet.cube(p, m)
     term = K
@@ -384,7 +375,7 @@ def _eigenvalues(T) -> np.ndarray:
 
 def eigen_entropy(T) -> float:
     """Σ log|λ_i| over eigenvalues of T with |λ_i| >= 1 (spectral multiplicity)."""
-    T = _as_unimodular(T)
+    T = as_unimodular(T)
     lam = _eigenvalues(T)
     mods = np.abs(lam)
     return float(np.sum(np.log(mods[mods >= 1.0 - 1e-9])))
@@ -470,7 +461,7 @@ def box_bound_card(T, m: int, n: int, delta_pad: float = 0.0) -> float:
     cubes around the counted lattice points. Defective spectra require
     δ_pad > 0 to absorb polynomial Jordan growth.
     """
-    T = _as_unimodular(T)
+    T = as_unimodular(T)
     if m < 1 or n < 1:
         raise PreconditionError("need m >= 1 and n >= 1")
     if delta_pad < 0:

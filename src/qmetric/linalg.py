@@ -3,7 +3,8 @@
 Matrices are plain numpy ``complex128`` 2-D arrays, validated on entry:
 finite entries only. The operator norm is the largest singular value,
 computed from the full singular spectrum up to side 256 and by power
-iteration on ``m* m`` above that (desk scale favors exactness over speed).
+iteration on ``m* m`` above that, falling back to the spectrum when the
+iteration has not converged within about the cost of one SVD.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .caps import check_cap
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 
 _SVD_SIDE_LIMIT = 256
+# power-iteration steps granted to small sides, where one SVD costs only a few steps
+_POWER_MIN_ITER = 100
 
 
 def as_matrix(a) -> np.ndarray:
@@ -44,14 +47,16 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def _power_iteration_norm(m: np.ndarray, tol: float = 1e-13, max_iter: int = 20000) -> float:
+def _power_iteration_norm(m: np.ndarray, max_iter: int, tol: float = 1e-13) -> float | None:
+    """Power iteration on m* m; None when it has not converged after max_iter steps."""
     n = m.shape[1]
+    mh = m.conj().T
     # deterministic start with a mild ramp to avoid orthogonality accidents
     x = np.ones(n, dtype=np.complex128) + 1e-3 * np.arange(n)
     x /= np.linalg.norm(x)
     last = 0.0
     for _ in range(max_iter):
-        y = m.conj().T @ (m @ x)
+        y = mh @ (m @ x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return 0.0
@@ -60,17 +65,52 @@ def _power_iteration_norm(m: np.ndarray, tol: float = 1e-13, max_iter: int = 200
         if abs(est - last) <= tol * max(est, 1.0):
             return float(est)
         last = est
-    raise NumericalError("power iteration for operator norm did not converge")
+    return None
 
 
 def operator_norm(m, *, force_power_iteration: bool = False) -> float:
-    """Largest singular value, relative accuracy 1e-10."""
+    """Largest singular value, relative accuracy 1e-10.
+
+    Power iteration stalls when the top two singular values are close, so
+    it gets as many steps as cost about one SVD of the same side (half the
+    side, at least _POWER_MIN_ITER); past that the SVD gives the value.
+    """
     m = as_matrix(m)
     if m.size == 0:
         return 0.0
-    if force_power_iteration or max(m.shape) > _SVD_SIDE_LIMIT:
-        return _power_iteration_norm(m)
+    side = max(m.shape)
+    if force_power_iteration or side > _SVD_SIDE_LIMIT:
+        est = _power_iteration_norm(m, max(side // 2, _POWER_MIN_ITER))
+        if est is not None:
+            return est
     return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _int_det(rows) -> int:
+    """Exact determinant of a square integer matrix, by cofactor expansion in Python ints."""
+    rows = [[int(x) for x in row] for row in rows]
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def as_unimodular(T) -> np.ndarray:
+    """Validate a square integer matrix with |det T| = 1; return it as int64."""
+    T = np.asarray(T)
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        raise PreconditionError("T must be a square matrix")
+    if not np.issubdtype(T.dtype, np.integer):
+        Tf = np.asarray(T, dtype=float)
+        Tr = np.rint(Tf)
+        if np.abs(Tf - Tr).max(initial=0.0) > 0:
+            raise PreconditionError("T must have integer entries")
+        T = Tr
+    T = T.astype(np.int64)
+    d = _int_det(T.tolist())
+    if abs(d) != 1:
+        raise PreconditionError(f"|det T| must be 1, got {d}")
+    return T
 
 
 def frobenius_norm(m) -> float:

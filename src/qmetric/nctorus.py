@@ -26,6 +26,7 @@ import numpy as np
 
 from .caps import check_cap
 from .errors import PreconditionError
+from .linalg import as_unimodular
 from . import weyl
 
 PRUNE_TOL = 1e-15
@@ -443,18 +444,6 @@ def _int_matrix_power(m: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.matrix_power(m.conj().T, -k)
 
 
-def _int_det(T: np.ndarray) -> int:
-    T = [[int(x) for x in row] for row in np.asarray(T)]
-    n = len(T)
-    if n == 1:
-        return T[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in T[1:]]
-        total += (-1) ** j * T[0][j] * _int_det(np.array(minor))
-    return total
-
-
 @dataclass(frozen=True)
 class ToralMap:
     """α_T ∘ γ_t: α_T(u_j) = u_1^{T_1j} ⋯ u_p^{T_pj}, γ_t(u_j) = e^{2πi t_j} u_j."""
@@ -463,19 +452,7 @@ class ToralMap:
     t: np.ndarray = field(default=None, repr=True)
 
     def __post_init__(self):
-        T = np.asarray(self.T)
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise PreconditionError("T must be square")
-        if not np.issubdtype(T.dtype, np.integer):
-            Tr = np.rint(T)
-            if np.abs(T - Tr).max(initial=0.0) > 0:
-                raise PreconditionError("T must be an integer matrix")
-            T = Tr.astype(np.int64)
-        else:
-            T = T.astype(np.int64)
-        if abs(_int_det(T)) != 1:
-            raise PreconditionError("|det T| must be 1")
-        T = T.copy()
+        T = as_unimodular(self.T)
         T.flags.writeable = False
         object.__setattr__(self, "T", T)
         t = np.zeros(T.shape[0]) if self.t is None else np.mod(np.asarray(self.t, float), 1.0)

@@ -20,7 +20,11 @@ def test_cube_and_contains():
 
 def test_linear_image_preserves_cardinality():
     k = entropy.LatticeSet.cube(2, 2)
-    assert k.linear_image(CAT).cardinality == k.cardinality
+    image = k.linear_image(CAT)
+    assert image.cardinality == k.cardinality
+    assert set(map(tuple, image.points().tolist())) == {
+        (2 * x + y, x + y) for x, y in k.points().tolist()
+    }
 
 
 def test_minkowski_identity_and_cubes():
@@ -61,6 +65,10 @@ def test_packing_overflow_aborts():
         big.linear_image(40000 * np.eye(3, dtype=np.int64))
     with pytest.raises(ResourceLimitError):
         entropy.LatticeSet.from_points(2, [[2**31, 0]])
+    # 3 * 6148914691236517206 = 2^64 + 2 would wrap to 2 in an int64 multiply
+    with pytest.raises(ResourceLimitError):
+        entropy.LatticeSet.from_points(2, [[3, 0]]).linear_image(
+            [[6148914691236517206, 0], [0, 1]])
 
 
 def test_orbit_identity_matrix():

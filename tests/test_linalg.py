@@ -96,3 +96,30 @@ def test_kron_cap(monkeypatch):
     monkeypatch.setenv("QMETRIC_CAP", "matrix_dim=8")
     with pytest.raises(ResourceLimitError):
         linalg.kron(np.eye(4), np.eye(4))
+
+
+def test_power_iteration_stall_falls_back_to_svd():
+    # a = (1 - ε/2)·1 + (ε/2)·u at side 512, u = diag(±1) (a clock on the
+    # first site): the singular values 1 and 1 - ε are too close for power
+    # iteration to separate within its budget
+    eps = 1e-4
+    u0 = np.diag(np.repeat([1.0, -1.0], 256))
+    a = (1 - eps / 2) * np.eye(512) + (eps / 2) * u0
+    assert linalg.operator_norm(a) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_unimodular_validation():
+    plastic = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
+    assert linalg.as_unimodular(plastic).tolist() == plastic
+    big = [[1, 2**60 + 1], [0, 1]]  # beyond float precision, kept exact
+    assert linalg.as_unimodular(np.array(big)).tolist() == big
+    assert linalg.as_unimodular([[1.0, 1.0], [0.0, 1.0]]).dtype == np.int64
+    for T, message in [
+        (np.ones(3), "square"),
+        ([[1.5, 0.0], [0.0, 1.0]], "integer entries"),
+        ([[2, 0], [0, 2]], "got 4"),
+        ([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 1, 7], [0, 0, 0, -1]], "got -6"),
+        ([[0, 1, 0], [0, 0, 1], [2, 1, 0]], "got 2"),
+    ]:
+        with pytest.raises(PreconditionError, match=message):
+            linalg.as_unimodular(T)

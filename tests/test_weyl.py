@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmetric import weyl
 from qmetric.errors import PreconditionError, ResourceLimitError
@@ -316,3 +318,120 @@ def test_window_dimension_cap(monkeypatch):
     monkeypatch.setenv("QMETRIC_CAP", "matrix_dim=64")
     with pytest.raises(ResourceLimitError):
         weyl.WeylWindow(2, 0, 6)  # dimension 128
+
+
+def fiber_oracle_lip(window, coeffs, lam):
+    """sup of ‖Σ c_m (χ_m(g) - 1) m‖ / ℓ_λ(g) over every character fiber,
+    without pruning; built from the coefficients, not from weyl_expand."""
+    p = window.p
+    rho = np.exp(2j * np.pi / p)
+    support = [(e, c) for e, c in coeffs.items() if any(pair != (0, 0) for pair in e)]
+    fibers = {}
+    for pairs in itertools.product(itertools.product(range(p), repeat=2), repeat=window.n_sites):
+        g = weyl.GroupElement(window, pairs)
+        chars = tuple(
+            sum(r * i + s * j for (r, s), (i, j) in zip(pairs, e)) % p for e, _ in support
+        )
+        if any(chars):
+            ln = weyl.group_length(g, lam)
+            fibers[chars] = min(ln, fibers.get(chars, np.inf))
+    best = 0.0
+    for chars, ln in fibers.items():
+        diff = sum(
+            c * (rho**t - 1.0) * weyl.weyl_monomial(window, e).matrix
+            for t, (e, c) in zip(chars, support)
+        )
+        best = max(best, operator_norm(diff) / ln)
+    return best
+
+
+@st.composite
+def sparse_elements(draw):
+    p = draw(st.sampled_from([2, 3, 4]))
+    n_sites = draw(st.integers(1, {2: 3, 3: 2, 4: 2}[p]))
+    lo = draw(st.integers(-2, 1))
+    window = weyl.WeylWindow(p, lo, lo + n_sites - 1)
+    family = weyl.weyl_unitary_family(window)
+    exps = draw(st.lists(st.sampled_from(family), min_size=1, max_size=4, unique=True))
+    # equal moduli make fibers tie on the triangle bound; a single nontrivial
+    # monomial attains it exactly
+    equal = draw(st.booleans())
+    coeffs = {}
+    for e in exps:
+        modulus = 1.0 if equal else draw(st.floats(0.25, 4.0))
+        coeffs[e] = modulus * np.exp(2j * np.pi * draw(st.integers(0, 7)) / 8)
+    return window, coeffs, draw(st.sampled_from([0.3, 0.5, 0.8]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_elements())
+def test_pruned_supremum_matches_all_fiber_oracle(case):
+    window, coeffs, lam = case
+    a = weyl.reconstruct(weyl.WeylCoefficients(window, coeffs))
+    value = weyl.weyl_lip_norm(a, lam)
+    assert type(value) is float
+    assert value == pytest.approx(fiber_oracle_lip(window, coeffs, lam), rel=1e-10, abs=1e-12)
+
+
+def test_full_support_p3_matches_oracle():
+    # 80 nontrivial monomials: a character row packed in radix 3 would need 3^80
+    rng = np.random.default_rng(41)
+    w = weyl.WeylWindow(3, 0, 1)
+    a = random_element(w, rng)
+    coeffs = weyl.weyl_expand(a).data
+    assert len(coeffs) == 81
+    assert weyl.weyl_lip_norm(a, 0.5) == pytest.approx(
+        fiber_oracle_lip(w, coeffs, 0.5), rel=1e-10
+    )
+
+
+def test_pruned_supremum_takes_few_norms(monkeypatch):
+    # p=3, W=5, eight independent exponents: 3^8 - 1 = 6560 character fibers
+    rng = np.random.default_rng(8)
+    w = weyl.WeylWindow(3, -2, 2)
+    E = np.hstack([np.eye(8, dtype=np.int64), rng.integers(0, 3, size=(8, 2))])
+    E = E[:, rng.permutation(10)]
+    coeffs = {
+        tuple((int(row[2 * k]), int(row[2 * k + 1])) for k in range(5)):
+            rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.random())
+        for row in E
+    }
+    a = weyl.reconstruct(weyl.WeylCoefficients(w, coeffs))
+    calls = []
+
+    def counting_norm(m):
+        calls.append(1)
+        return operator_norm(m)
+
+    monkeypatch.setattr(weyl, "operator_norm", counting_norm)
+    value = weyl.weyl_lip_norm(a, 0.5)
+    assert len(calls) < 100
+    monkeypatch.undo()
+    # bracket: single-site group elements from below, Σ|c| L(m) from above
+    lower = 0.0
+    for k in range(5):
+        for r, s in itertools.product(range(3), repeat=2):
+            pairs = [(0, 0)] * 5
+            pairs[k] = (r, s)
+            g = weyl.GroupElement(w, tuple(pairs))
+            if not g.is_identity:
+                moved = weyl.weyl_action(g, a).matrix - a.matrix
+                lower = max(lower, operator_norm(moved) / weyl.group_length(g, 0.5))
+    upper = sum(abs(c) * weyl.monomial_lip_norm(w, e, 0.5) for e, c in coeffs.items())
+    assert lower * (1 - 1e-10) <= value <= upper * (1 + 1e-10)
+
+
+HOMOGENEITY_WINDOW = weyl.WeylWindow(2, -1, 1)
+HOMOGENEITY_ELEMENT = random_element(HOMOGENEITY_WINDOW, np.random.default_rng(90))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-20.0, 20.0), st.floats(0.0, 1.0))
+@example(-14.0, 0.0)  # at ε = 1e-14 an absolute tolerance dropped every coefficient
+def test_lip_norm_is_homogeneous(log_modulus, turn):
+    c = 10.0**log_modulus * np.exp(2j * np.pi * turn)
+    a = HOMOGENEITY_ELEMENT
+    scaled = weyl.WeylElement(a.window, c * a.matrix)
+    assert weyl.weyl_lip_norm(scaled, 0.5) == pytest.approx(
+        abs(c) * weyl.weyl_lip_norm(a, 0.5), rel=1e-9
+    )
