@@ -40,12 +40,12 @@ def _config_json(command: str, params: dict) -> str:
     return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(out_path, header_lines: list[str], body_lines: list[str]) -> None:
-    text = "".join(line + "\n" for line in header_lines + body_lines)
-    if out_path in (None, "-"):
+def _write(path, text: str) -> None:
+    """Write text to path, or to stdout when path is None or '-'."""
+    if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -54,15 +54,6 @@ def _header(command: str, params: dict, stamp: bool) -> list[str]:
     if stamp:
         lines.append(f"# stamp: {datetime.datetime.now().isoformat()}")
     return lines
-
-
-def _emit_json(path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 # ---------------------------------------------------------------- weyl-dim
@@ -211,14 +202,10 @@ def run_kolmogorov(params: dict) -> tuple[list[str], dict]:
         raise PreconditionError("kolmogorov needs --points or --matrix")
     deltas = metricspace.parse_delta_grid(params["delta_grid"])
     result = metricspace.box_dimension(space, deltas)
-    body = ["delta,sep,spn,cover,sep_exact"]
+    body = ["delta,sep,spn,sep_exact"]
     for s in result.stats:
-        body.append(f"{fmt(s.delta)},{s.sep},{s.spn},{s.cover},{int(s.sep_exact)}")
-    summary = {
-        "slope_sep": result.slope,
-        "slope_spn": result.slope_spn,
-        "slope_cover": result.slope_cover,
-    }
+        body.append(f"{fmt(s.delta)},{s.sep},{s.spn},{int(s.sep_exact)}")
+    summary = {"slope_sep": result.slope, "slope_spn": result.slope_spn}
     return body, summary
 
 
@@ -252,17 +239,14 @@ def run_lattice_growth(params: dict) -> tuple[list[str], dict]:
     dpad = params["delta_pad"]
     series = entropy.lattice_orbit_card(T, m, n)
     diffs = series.log_diffs()
+    bounds = [entropy.box_bound_card(T, m, i, dpad) for i in range(1, len(series.counts) + 1)]
     body = ["n,card,box_bound,log_diff"]
-    for i, c in enumerate(series.counts, start=1):
-        bound = entropy.box_bound_card(T, m, i, dpad)
+    for i, (c, bound) in enumerate(zip(series.counts, bounds), start=1):
         diff = fmt(diffs[i - 2]) if i >= 2 else ""
         body.append(f"{i},{c},{fmt(bound)},{diff}")
     summary = {
         "eigen_entropy": entropy.eigen_entropy(T),
-        "dominates": all(
-            entropy.box_bound_card(T, m, i, dpad) >= c
-            for i, c in enumerate(series.counts, start=1)
-        ),
+        "dominates": all(b >= c for b, c in zip(bounds, series.counts)),
     }
     return body, summary
 
@@ -283,19 +267,16 @@ def run_dim_bracket(params: dict) -> tuple[list[str], dict]:
     return body, summary
 
 
-RUNNERS = {
-    "weyl-dim": run_weyl_dim,
-    "torus-dim": run_torus_dim,
-    "shift-entropy": run_shift_entropy,
-    "toral-entropy": run_toral_entropy,
-    "kolmogorov": run_kolmogorov,
-    "cesaro-rate": run_cesaro_rate,
-    "lattice-growth": run_lattice_growth,
-    "dim-bracket": run_dim_bracket,
-}
+# flags that say where and how an experiment writes, not what it computes
+_OUTPUT_KEYS = ("out", "json_out", "stamp")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one place that names each subcommand, its runner and its flags.
+
+    An experiment's config keys, echoed in its header and read back by
+    ``rerun``, are the dests of its flags minus _OUTPUT_KEYS.
+    """
     parser = argparse.ArgumentParser(
         prog="qmetric",
         description="dimension and entropy experiments on finite quantum metric spaces",
@@ -307,83 +288,67 @@ def build_parser() -> argparse.ArgumentParser:
         # a flag naming a file; its header entry is relative to the output's directory
         path_keys.add(sp.add_argument(flag, metavar="FILE", **kw).dest)
 
-    def common(sp):
+    def experiment(name, run, about):
+        sp = sub.add_parser(name, help=about)
+        sp.set_defaults(run=run)
         sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
         sp.add_argument("--json-out", default=None, help="JSON summary path (default stdout)")
         sp.add_argument("--stamp", action="store_true", help="add a timestamp header line")
+        return sp
 
-    sp = sub.add_parser("weyl-dim", help="UHF dimension certificates and regression")
+    sp = experiment("weyl-dim", run_weyl_dim, "UHF dimension certificates and regression")
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--lam", type=float, default=0.5)
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--n-min", type=int, default=1)
     sp.add_argument("--n-max", type=int, default=3)
-    common(sp)
 
-    sp = sub.add_parser("torus-dim", help="torus dimension certificates and regression")
+    sp = experiment("torus-dim", run_torus_dim, "torus dimension certificates and regression")
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--n-min", type=int, default=1)
     sp.add_argument("--n-max", type=int, default=6)
     file_arg(sp, "--element", default=None, help="twisted-polynomial JSON to bracket")
     file_arg(sp, "--element-out", default=None, help="write its Cesàro mean as JSON")
-    common(sp)
 
-    sp = sub.add_parser("shift-entropy", help="shift entropy brackets")
+    sp = experiment("shift-entropy", run_shift_entropy, "shift entropy brackets")
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--n-max", "--n", dest="n_max", type=int, default=5)
     sp.add_argument("--delta", type=float, default=0.5)
-    common(sp)
 
-    sp = sub.add_parser("toral-entropy", help="lattice growth and eigenvalue entropy")
+    sp = experiment("toral-entropy", run_toral_entropy, "lattice growth and eigenvalue entropy")
     sp.add_argument("--T", required=True, help="comma-separated row-major entries")
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--n", type=int, default=14)
     sp.add_argument("--tail", type=int, default=5)
-    common(sp)
 
-    sp = sub.add_parser("kolmogorov", help="net statistics and box dimension")
+    sp = experiment("kolmogorov", run_kolmogorov, "net statistics and box dimension")
     file_arg(sp, "--points", default=None, help="CSV of points, one per row")
     file_arg(sp, "--matrix", default=None, help="CSV distance matrix")
     sp.add_argument("--delta-grid", required=True, help="a:b:steps geometric grid")
-    common(sp)
 
-    sp = sub.add_parser("cesaro-rate", help="Fejér moment rate table")
+    sp = experiment("cesaro-rate", run_cesaro_rate, "Fejér moment rate table")
     sp.add_argument("--n-list", default="16,32,64,128,256,512,1024,2048,4096")
-    common(sp)
 
-    sp = sub.add_parser("lattice-growth", help="growth series with box bounds")
+    sp = experiment("lattice-growth", run_lattice_growth, "growth series with box bounds")
     sp.add_argument("--T", required=True)
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--n", type=int, default=10)
     sp.add_argument("--delta-pad", type=float, default=0.05)
-    common(sp)
 
-    sp = sub.add_parser("dim-bracket", help="dimension brackets for a vector family")
+    sp = experiment("dim-bracket", run_dim_bracket, "dimension brackets for a vector family")
     file_arg(sp, "--vectors", required=True, help="JSON family path")
     sp.add_argument("--delta-grid", required=True)
     sp.add_argument("--norm-tag", default="cstar")
     sp.add_argument("--nonstrict", action="store_true")
-    common(sp)
 
     sp = sub.add_parser("rerun", help="re-execute the config echoed in an output file")
     sp.add_argument("source", help="file produced by a previous run")
     sp.add_argument("--out", default=None)
     sp.add_argument("--json-out", default=None)
     parser.path_keys = frozenset(path_keys)
+    parser.commands = sub.choices
     return parser
-
-
-_CONFIG_KEYS = {
-    "weyl-dim": ["p", "lam", "delta", "n_min", "n_max"],
-    "torus-dim": ["p", "delta", "n_min", "n_max", "element", "element_out"],
-    "shift-entropy": ["p", "n_max", "delta"],
-    "toral-entropy": ["T", "m", "n", "tail"],
-    "kolmogorov": ["points", "matrix", "delta_grid"],
-    "cesaro-rate": ["n_list"],
-    "lattice-growth": ["T", "m", "n", "delta_pad"],
-    "dim-bracket": ["vectors", "delta_grid", "norm_tag", "nonstrict"],
-}
 
 
 def _relocate(params: dict, path_keys, src_dir: str, out) -> tuple[dict, dict]:
@@ -406,16 +371,6 @@ def _relocate(params: dict, path_keys, src_dir: str, out) -> tuple[dict, dict]:
     return used, recorded
 
 
-def _dispatch(command: str, params: dict, path_keys, out, json_out, stamp: bool,
-              src_dir: str = "") -> None:
-    used, recorded = _relocate(params, path_keys, src_dir, out)
-    body, summary = RUNNERS[command](used)
-    header = _header(command, recorded, stamp)
-    _emit(out, header, body)
-    if json_out is not None:
-        _emit_json(json_out, summary)
-
-
 def extract_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -426,19 +381,25 @@ def extract_config(path: str) -> dict:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    params = vars(parser.parse_args(argv))
+    command, run = params.pop("command"), params.pop("run", None)
+    out, json_out, stamp = (params.pop(k, False) for k in _OUTPUT_KEYS)  # rerun has no --stamp
+    src_dir = ""
     try:
-        if args.command == "rerun":
-            cfg = extract_config(args.source)
-            command = cfg.pop("command")
-            if command not in RUNNERS:
+        if run is None:  # rerun: the experiment and its config come from the header
+            source = params["source"]
+            params = extract_config(source)
+            command = params.pop("command", None)
+            sp = parser.commands.get(command)
+            run = sp.get_default("run") if sp is not None else None
+            if run is None:
                 raise PreconditionError(f"unknown command {command!r} in config")
-            _dispatch(command, cfg, parser.path_keys, args.out, args.json_out, stamp=False,
-                      src_dir=os.path.dirname(args.source))
-        else:
-            params = {k: getattr(args, k) for k in _CONFIG_KEYS[args.command]}
-            _dispatch(args.command, params, parser.path_keys, args.out, args.json_out,
-                      args.stamp)
+            src_dir = os.path.dirname(source)
+        used, recorded = _relocate(params, parser.path_keys, src_dir, out)
+        body, summary = run(used)
+        _write(out, "".join(line + "\n" for line in _header(command, recorded, stamp) + body))
+        if json_out is not None:
+            _write(json_out, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except QMetricError as exc:
         print(f"qmetric: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -384,12 +384,13 @@ def eigen_entropy(T) -> float:
 @functools.lru_cache(maxsize=32)
 def _real_block_basis(rows: tuple[tuple[int, ...], ...]):
     """Real basis adapted to the spectral subspaces of T, given as a tuple
-    of integer rows; cached per matrix, with a read-only P.
+    of integer rows; cached per matrix, with read-only arrays.
 
-    Returns (P, blocks, defective) with T = P A P^{-1}, A block diagonal in
-    the returned real basis, blocks a tuple of (slice, |λ|), and defective
-    true when some Jordan block exceeds size 1. Exact via sympy Jordan form;
-    conjugate complex chains are merged into real 2d-blocks.
+    Returns (P, Pinv, A, blocks, defective) with T = P A P^{-1}, A block
+    diagonal in the returned real basis (checked), blocks a tuple of
+    (slice, |λ|), and defective true when some Jordan block exceeds size 1.
+    Exact via sympy Jordan form; conjugate complex chains are merged into
+    real 2d-blocks.
     """
     import sympy  # the only user; importing it costs more than the rest of qmetric
 
@@ -446,8 +447,9 @@ def _real_block_basis(rows: tuple[tuple[int, ...], ...]):
     off = np.abs(A[~mask]).max(initial=0.0)
     if off > 1e-9 * max(1.0, np.abs(A).max()):
         raise NumericalError(f"spectral basis failed to block-diagonalize T (off={off:.2e})")
-    P.flags.writeable = False
-    return P, tuple(blocks), defective
+    for arr in (P, Pinv, A):
+        arr.flags.writeable = False
+    return P, Pinv, A, tuple(blocks), defective
 
 
 def box_bound_card(T, m: int, n: int, delta_pad: float = 0.0) -> float:
@@ -467,11 +469,9 @@ def box_bound_card(T, m: int, n: int, delta_pad: float = 0.0) -> float:
     if delta_pad < 0:
         raise PreconditionError("delta_pad must be >= 0")
     p = T.shape[0]
-    P, blocks, defective = _real_block_basis(tuple(map(tuple, T.tolist())))
+    P, Pinv, A, blocks, defective = _real_block_basis(tuple(map(tuple, T.tolist())))
     if defective and delta_pad <= 0:
         raise PreconditionError("defective spectrum requires delta_pad > 0")
-    Pinv = np.linalg.inv(P)
-    A = Pinv @ T.astype(float) @ P
     r = float(np.abs(Pinv).sum(axis=1).max())
     q_const = 1.0
     for sl, mod in blocks:

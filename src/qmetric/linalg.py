@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import check_cap
 from .errors import PreconditionError
 
 _SVD_SIDE_LIMIT = 256
@@ -29,26 +28,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; result dimensions are cap-checked before allocation."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    check_cap("matrix_dim", max(rows, cols), "kron result")
-    return np.kron(a, b)
-
-
-def singular_values(m) -> np.ndarray:
-    """Full nonincreasing singular spectrum."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def _power_iteration_norm(m: np.ndarray, max_iter: int, tol: float = 1e-13) -> float | None:
-    """Power iteration on m* m; None when it has not converged after max_iter steps."""
+    """Power iteration on m* m; None when it has not converged after max_iter steps.
+
+    Converged means two successive estimates agree to a relative tol, a test
+    that means the same at every scale of m.
+    """
     n = m.shape[1]
     mh = m.conj().T
     # deterministic start with a mild ramp to avoid orthogonality accidents
@@ -62,24 +47,27 @@ def _power_iteration_norm(m: np.ndarray, max_iter: int, tol: float = 1e-13) -> f
             return 0.0
         x = y / ny
         est = np.sqrt(ny)
-        if abs(est - last) <= tol * max(est, 1.0):
+        if abs(est - last) <= tol * est:
             return float(est)
         last = est
     return None
 
 
-def operator_norm(m, *, force_power_iteration: bool = False) -> float:
-    """Largest singular value, relative accuracy 1e-10.
+def operator_norm(m) -> float:
+    """Largest singular value.
 
-    Power iteration stalls when the top two singular values are close, so
-    it gets as many steps as cost about one SVD of the same side (half the
-    side, at least _POWER_MIN_ITER); past that the SVD gives the value.
+    Up to side _SVD_SIDE_LIMIT it is the top of the full singular spectrum.
+    Above that, power iteration runs until two successive estimates agree to
+    a relative 1e-13, so the test means the same at every scale of m. The
+    iteration stalls when the top two singular values are close, so it gets
+    as many steps as cost about one SVD of the same side (half the side, at
+    least _POWER_MIN_ITER); past that the SVD gives the value.
     """
     m = as_matrix(m)
     if m.size == 0:
         return 0.0
     side = max(m.shape)
-    if force_power_iteration or side > _SVD_SIDE_LIMIT:
+    if side > _SVD_SIDE_LIMIT:
         est = _power_iteration_norm(m, max(side // 2, _POWER_MIN_ITER))
         if est is not None:
             return est
@@ -111,7 +99,3 @@ def as_unimodular(T) -> np.ndarray:
     if abs(d) != 1:
         raise PreconditionError(f"|det T| must be 1, got {d}")
     return T
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m)))

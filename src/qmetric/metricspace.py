@@ -4,9 +4,14 @@ for Lipschitz seminorms.
 
 Conventions: a set is δ-separated when pairwise distances exceed δ; a set F
 is δ-spanning when every point lies within δ of F (closed balls). Covering
-counts use closed δ-balls centered at points of the space, so the exact
-cover and spanning numbers coincide on finite spaces and the chain
-cover ≤ spn ≤ sep holds for the exact quantities.
+counts use closed δ-balls centered at points of the space, so on a finite
+space the covering number is the spanning number, and spn ≤ sep for the
+exact quantities. The reported spn keeps that chain: it is the smaller of a
+greedy set cover and the greedy maximal δ-separated set, which is itself
+δ-spanning.
+
+Distance matrices are checked relative to their largest entry, so a space
+and every rescaling of it are accepted or rejected together.
 
 Greedy constructions are deterministic: farthest-point insertion starting
 at index 0 with ties broken by lowest index, so regression slopes are
@@ -37,7 +42,7 @@ class FiniteMetricSpace:
             raise PreconditionError("distance matrix has non-finite entries")
         if np.abs(np.diag(d)).max(initial=0.0) > 0:
             raise PreconditionError("distance matrix must have zero diagonal")
-        if np.abs(d - d.T).max(initial=0.0) > 1e-12:
+        if np.abs(d - d.T).max(initial=0.0) > 1e-12 * np.abs(d).max(initial=0.0):
             raise PreconditionError("distance matrix must be symmetric")
         off = d[~np.eye(d.shape[0], dtype=bool)]
         if off.size and off.min() <= 0:
@@ -54,8 +59,9 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max(initial=0.0))
 
-    def check_triangle(self, slack: float = 1e-9) -> None:
+    def check_triangle(self) -> None:
         d = self.dist
+        slack = 1e-9 * self.diameter
         for k in range(self.n):
             if np.any(d > d[:, [k]] + d[[k], :] + slack):
                 raise PreconditionError(f"triangle inequality fails through point {k}")
@@ -72,10 +78,9 @@ class FiniteMetricSpace:
         return cls(d)
 
     @classmethod
-    def from_matrix(cls, dist, check: bool = True) -> "FiniteMetricSpace":
+    def from_matrix(cls, dist) -> "FiniteMetricSpace":
         space = cls(np.asarray(dist, dtype=float))
-        if check:
-            space.check_triangle()
+        space.check_triangle()
         return space
 
 
@@ -84,7 +89,6 @@ class NetStatistics:
     delta: float
     sep: int
     spn: int
-    cover: int
     sep_exact: bool
 
 
@@ -154,7 +158,7 @@ def net_statistics(space: FiniteMetricSpace, delta: float) -> NetStatistics:
     if delta <= 0:
         raise PreconditionError("delta must be positive")
     if delta >= space.diameter:
-        return NetStatistics(delta, 1, 1, 1, True)
+        return NetStatistics(delta, 1, 1, True)
     greedy = len(greedy_separated(space, delta))
     if space.n <= EXACT_SEP_LIMIT:
         sep = _max_separated_exact(space, delta)
@@ -162,15 +166,15 @@ def net_statistics(space: FiniteMetricSpace, delta: float) -> NetStatistics:
     else:
         sep = greedy
         sep_exact = False
-    spanning = len(greedy_spanning(space, delta))
-    return NetStatistics(delta, sep, spanning, spanning, sep_exact)
+    # the greedy maximal separated set is itself δ-spanning
+    spn = min(len(greedy_spanning(space, delta)), greedy)
+    return NetStatistics(delta, sep, spn, sep_exact)
 
 
 @dataclass(frozen=True)
 class BoxDimension:
     slope: float
     slope_spn: float
-    slope_cover: float
     stats: tuple[NetStatistics, ...]
 
 
@@ -189,11 +193,10 @@ def box_dimension(space: FiniteMetricSpace, deltas) -> BoxDimension:
         raise PreconditionError("delta grid must be positive")
     stats = tuple(net_statistics(space, d) for d in deltas)
     if space.n == 1:
-        return BoxDimension(0.0, 0.0, 0.0, stats)
+        return BoxDimension(0.0, 0.0, stats)
     return BoxDimension(
         _loglog_slope(deltas, [s.sep for s in stats]),
         _loglog_slope(deltas, [s.spn for s in stats]),
-        _loglog_slope(deltas, [s.cover for s in stats]),
         stats,
     )
 

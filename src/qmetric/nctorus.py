@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import PreconditionError
 from .linalg import as_unimodular
 from . import weyl
 
+# a coefficient is dropped at or below this fraction of the largest modulus
 PRUNE_TOL = 1e-15
 
 
@@ -109,14 +110,24 @@ class TwistedPolynomial:
 
     def __init__(self, phase: PhaseMatrix, coeffs: dict[tuple[int, ...], complex]):
         self.phase = phase
-        pruned = {}
+        # the threshold is relative, so c·a has the support of a for every c ≠ 0;
+        # the extremes are tracked in the validating pass, and a second pass
+        # runs only when some coefficient falls to the threshold
+        kept, hi, lo = {}, 0.0, inf
         for k, c in coeffs.items():
             if len(k) != phase.p:
                 raise PreconditionError(f"exponent {k} has wrong length for p={phase.p}")
             c = complex(c)
-            if abs(c) > PRUNE_TOL:
-                pruned[tuple(int(x) for x in k)] = c
-        self.coeffs = pruned
+            mod = abs(c)
+            if mod > hi:
+                hi = mod
+            if mod < lo:
+                lo = mod
+            kept[tuple(map(int, k))] = c
+        thresh = PRUNE_TOL * hi
+        if lo <= thresh:
+            kept = {k: c for k, c in kept.items() if abs(c) > thresh}
+        self.coeffs = kept
 
     @classmethod
     def monomial(cls, phase: PhaseMatrix, k, coeff: complex = 1.0) -> "TwistedPolynomial":

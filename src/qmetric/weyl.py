@@ -173,9 +173,11 @@ def _generalized_diagonal_indices(p: int, n_sites: int, jvec: tuple[int, ...]):
 # entries per batched array (diagonals in weyl_expand, fiber factors in
 # weyl_lip_norm): about 1 MB of complex128
 _BATCH_ENTRIES = 1 << 16
+# weyl_expand keeps a coefficient above this fraction of the largest matrix entry
+_EXPAND_TOL = 1e-13
 
 
-def weyl_expand(a: WeylElement, tol: float = 1e-13) -> WeylCoefficients:
+def weyl_expand(a: WeylElement) -> WeylCoefficients:
     """Weyl-basis coefficients c_m = τ(m* a) via DFT over Z_p^W.
 
     For the monomial m with exponents (i_k, j_k) one has
@@ -185,13 +187,13 @@ def weyl_expand(a: WeylElement, tol: float = 1e-13) -> WeylCoefficients:
     the batch axis last and transformed by one ``fftn``.
 
     The tolerance is relative: a coefficient is kept when its modulus
-    exceeds tol·max|a_bc|, so c·a has the support of a for every scalar
+    exceeds _EXPAND_TOL·max|a_bc|, so c·a has the support of a for every scalar
     c ≠ 0. Keys are ordered by shift j, then by i, both row-major.
     """
     w = a.window
     p, W, d = w.p, w.n_sites, w.dim
     m = a.matrix
-    thresh = tol * float(np.abs(m).max())
+    thresh = _EXPAND_TOL * float(np.abs(m).max())
     place = p ** np.arange(W - 1, -1, -1)
     digits = (np.arange(d)[:, None] // place[None, :]) % p
     digit_tuples = [tuple(row) for row in digits.tolist()]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_kolmogorov_with_points(tmp_path):
     assert run(["kolmogorov", "--points", src, "--delta-grid", "0.25:0.03125:4",
                 "--out", out, "--json-out", js]) == 0
     rows = body_of(out)
-    assert rows[0] == "delta,sep,spn,cover,sep_exact"
+    assert rows[0] == "delta,sep,spn,sep_exact"
     summary = json.loads(js.read_text())
     assert 0.8 <= summary["slope_sep"] <= 1.1
     out2 = tmp_path / "kolm2.csv"
@@ -148,7 +149,7 @@ def test_kolmogorov_with_matrix(tmp_path):
     out = tmp_path / "kolm.csv"
     assert run(["kolmogorov", "--matrix", src, "--delta-grid", "0.3:0.05:4",
                 "--out", out]) == 0
-    assert body_of(out)[0] == "delta,sep,spn,cover,sep_exact"
+    assert body_of(out)[0] == "delta,sep,spn,sep_exact"
 
 
 def test_torus_dim_element_io(tmp_path):
@@ -237,12 +238,46 @@ def test_file_flags_are_recorded_as_paths():
                                         "element_out"}
 
 
+def test_config_keys_are_the_parser_flags(tmp_path, monkeypatch):
+    # an experiment's header echoes every flag it has except those saying
+    # where and how it writes, so a rerun sees the whole configuration
+    from qmetric.cli import build_parser
+
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("pts.csv", np.linspace(0.0, 1.0, 8).reshape(-1, 1), delimiter=",")
+    Path("family.json").write_text(approxdim.family_to_json(np.eye(4)))
+    argv = {
+        "weyl-dim": ["--n-max", 1],
+        "torus-dim": ["--n-max", 3],
+        "shift-entropy": ["--n-max", 2],
+        "toral-entropy": ["--T", "2,1,1,1", "--n", 5, "--tail", 3],
+        "kolmogorov": ["--points", "pts.csv", "--delta-grid", "0.5:0.1:3"],
+        "cesaro-rate": ["--n-list", "16"],
+        "lattice-growth": ["--T", "1,1,0,1", "--n", 2],
+        "dim-bracket": ["--vectors", "family.json", "--delta-grid", "0.9:0.3:3"],
+    }
+    parser = build_parser()
+    assert set(parser.commands) == set(argv) | {"rerun"}
+    for command, args in argv.items():
+        flags = {a.dest for a in parser.commands[command]._actions}
+        assert run([command, *args, "--out", f"{command}.csv"]) == 0
+        cfg = extract_config(f"{command}.csv")
+        assert cfg.pop("command") == command
+        assert set(cfg) == flags - {"help", "out", "json_out", "stamp"}
+
+
+def test_rerun_rejects_unknown_command(tmp_path):
+    src = tmp_path / "x.csv"
+    for command in ("no-such-experiment", "rerun"):
+        src.write_text(f'# config-json: {{"command":"{command}"}}\n')
+        assert run(["rerun", src, "--out", tmp_path / "y.csv"]) == 2
+
+
 def test_cli_import_leaves_sympy_out():
     # sympy is imported only by the Jordan-form helper that needs it
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import qmetric
 

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from qmetric import metricspace as ms
 from qmetric.errors import PreconditionError
@@ -28,10 +29,24 @@ def test_validation():
         ms.FiniteMetricSpace.from_matrix(bad_triangle)
 
 
+def test_validation_is_relative_to_the_largest_distance():
+    bad_triangle = np.array([[0, 1, 5.0], [1, 0, 1], [5.0, 1, 0]])
+    with pytest.raises(PreconditionError, match="triangle"):
+        ms.FiniteMetricSpace.from_matrix(1e-10 * bad_triangle)
+    with pytest.raises(PreconditionError, match="symmetric"):
+        ms.FiniteMetricSpace.from_matrix(1e-13 * np.array([[0.0, 1.0], [2.0, 0.0]]))
+    # a valid metric at scale 1e9 with rounding-level asymmetry is accepted
+    pts = np.random.default_rng(0).random((6, 2))
+    d = 1e9 * np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    d[0, 1] *= 1 + 4e-15
+    assert np.abs(d - d.T).max() > 1e-12
+    assert ms.FiniteMetricSpace.from_matrix(d).n == 6
+
+
 def test_degenerate_delta():
     space = ms.FiniteMetricSpace.from_points([0.0, 1.0, 2.0])
     st = ms.net_statistics(space, 5.0)
-    assert (st.sep, st.spn, st.cover) == (1, 1, 1)
+    assert (st.sep, st.spn) == (1, 1)
 
 
 def test_line_example_exact_separated():
@@ -57,11 +72,28 @@ def test_chain_cover_spn_sep_small_spaces():
         pts = rng.random((10, 2))
         space = ms.FiniteMetricSpace.from_points(pts)
         for delta in (0.15, 0.3, 0.5):
-            st = ms.net_statistics(space, delta)
+            stats = ms.net_statistics(space, delta)
             spn_exact = exact_spanning_count(space, delta)
-            assert spn_exact <= st.spn  # greedy is an upper bound
-            assert st.cover == st.spn
-            assert spn_exact <= st.sep  # cover = spn <= sep for exact quantities
+            assert spn_exact <= stats.spn <= stats.sep  # the cover number is spn_exact
+
+
+def test_spanning_count_not_above_greedy_separated():
+    # the greedy maximal separated set is δ-spanning; a greedy set cover
+    # alone needs 6 balls here
+    xs, ys = np.meshgrid(np.linspace(0, 1, 31), np.linspace(0, 1, 31))
+    space = ms.FiniteMetricSpace.from_points(np.column_stack([xs.ravel(), ys.ravel()]))
+    assert len(ms.greedy_spanning(space, 0.5)) == 6
+    stats = ms.net_statistics(space, 0.5)
+    assert (stats.sep, stats.spn, stats.sep_exact) == (5, 5, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.integers(0, 2**32 - 1), strategies.integers(21, 60),
+       strategies.floats(0.02, 0.8))
+def test_spn_never_exceeds_sep(seed, n, delta):
+    space = ms.FiniteMetricSpace.from_points(np.random.default_rng(seed).random((n, 2)))
+    stats = ms.net_statistics(space, delta)
+    assert 1 <= stats.spn <= stats.sep
 
 
 def test_monotone_in_delta():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from qmetric import nctorus
@@ -31,6 +33,24 @@ def test_phase_matrix_validation():
         nctorus.PhaseMatrix(2, np.array([[0.1, 0.0], [0.0, 0.0]]))  # diagonal
     ph = nctorus.PhaseMatrix.two_torus(0.25)
     assert ph.theta[0, 1] == 0.25 and ph.theta[1, 0] == 0.75
+
+
+def test_pruning_is_relative_to_the_largest_coefficient(quarter):
+    tiny = TP(quarter, {(1, 0): 1e-16, (0, 1): 2e-16})
+    assert tiny.support == [(0, 1), (1, 0)]
+    assert TP(quarter, {(1, 0): 1.0, (0, 1): 1e-16}).support == [(1, 0)]
+    assert TP(quarter, {(1, 0): 0.0}).support == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-20.0, 20.0), st.floats(0.0, 2.0 * np.pi))
+def test_scaling_keeps_the_support(seed, log10_mod, angle):
+    a = random_polynomial(nctorus.PhaseMatrix.two_torus(0.3), np.random.default_rng(seed))
+    c = complex(10.0**log10_mod * np.exp(1j * angle))
+    scaled = c * a
+    assert scaled.support == a.support
+    for k, v in a.coeffs.items():
+        assert scaled.coeffs[k] == pytest.approx(c * v, rel=1e-12)
 
 
 def test_reorder_phase_identity_cases(quarter):
