@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, approxdim, entropy, metricspace, nctorus, weyl
+from .caps import check_cap
 from .errors import PreconditionError, QMetricError
 
 # fitted once at desk scale from the Cesàro rate experiment; used to place
@@ -70,9 +71,10 @@ def run_weyl_dim(params: dict) -> tuple[list[str], dict]:
     body = ["series,n,delta,dim"]
     for n in range(n_min, n_max + 1):
         window = weyl.WeylWindow(p, -n, n)
-        family = weyl.weyl_unitary_family(window)
-        lip_max = max(weyl.monomial_lip_norm(window, exps, lam) for exps in family)
         m = p ** (2 * (2 * n + 1))
+        # the m monomials form the orthonormal family below
+        check_cap("group_enum", m, "Weyl monomial family")
+        lip_max = weyl.family_lip_max(window, lam)
         d_lower = approxdim.dim_exact_orthonormal(m, delta)
         delta_lower = delta / lip_max
         lower_rows.append(approxdim.DimBracket(delta_lower, d_lower, d_lower, "gns-lower"))
@@ -394,6 +396,13 @@ def main(argv=None) -> int:
             run = sp.get_default("run") if sp is not None else None
             if run is None:
                 raise PreconditionError(f"unknown command {command!r} in config")
+            keys = {a.dest for a in sp._actions} - {"help", *_OUTPUT_KEYS}
+            problems = [f"{what} keys {', '.join(sorted(found))}" for what, found in
+                        (("missing", keys - params.keys()), ("unknown", params.keys() - keys))
+                        if found]
+            if problems:
+                raise PreconditionError(
+                    f"config in {source} does not fit {command}: {'; '.join(problems)}")
             src_dir = os.path.dirname(source)
         used, recorded = _relocate(params, parser.path_keys, src_dir, out)
         body, summary = run(used)

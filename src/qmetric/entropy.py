@@ -381,63 +381,146 @@ def eigen_entropy(T) -> float:
     return float(np.sum(np.log(mods[mods >= 1.0 - 1e-9])))
 
 
+# relative size under which a singular value or an echelon entry counts as zero
+_ZERO_TOL = 1e-9
+
+
+def _spectrum(factors) -> list[tuple[complex, int]]:
+    """Eigenvalues with their multiplicities, one of each conjugate pair (the
+    one with Im λ > 0), from the radical factors f_k of a characteristic
+    polynomial: the roots of f_k / f_{k+1} have multiplicity exactly k."""
+    out = []
+    for k, (f, g) in enumerate(zip(factors, factors[1:] + [[1]]), start=1):
+        for lam in _poly_roots([int(c) for c in _poly_divmod(f, g)[0]]):
+            lam = complex(lam)
+            if abs(lam.imag) < 1e-12:
+                out.append((complex(lam.real), k))
+            elif lam.imag > 0:
+                out.append((lam, k))
+    return out
+
+
+def _annihilates(coeffs, rows) -> bool:
+    """Whether coeffs(T) is the zero matrix, by Horner's rule in exact integers."""
+    n = len(rows)
+    X = [[0] * n for _ in range(n)]
+    for c in coeffs:
+        X = [[sum(X[i][k] * rows[k][j] for k in range(n)) + (c if i == j else 0)
+              for j in range(n)] for i in range(n)]
+    return not any(x for row in X for x in row)
+
+
+def _nullity(X: np.ndarray) -> int:
+    s = np.linalg.svd(X, compute_uv=False)
+    return int(np.sum(s <= _ZERO_TOL * max(1.0, s[0])))
+
+
+def _echelon_kernel(X: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-dimensional kernel of X as columns in reduced echelon form from
+    the last coordinate: each column is 1 at its pivot, the last coordinate
+    where it is nonzero, and 0 at the other columns' pivots; columns are
+    ordered by pivot. This is the null-space basis that the reduced row
+    echelon form of X gives in exact arithmetic."""
+    n = X.shape[0]
+    R = np.linalg.svd(X)[2][n - dim:].conj()
+    pivot_of: dict[int, int] = {}
+    for c in range(n - 1, -1, -1):
+        rest = [i for i in range(dim) if i not in pivot_of]
+        if not rest:
+            break
+        i = max(rest, key=lambda i: abs(R[i, c]))
+        if abs(R[i, c]) <= _ZERO_TOL:
+            continue
+        R[i, c + 1:] = 0.0
+        R[i] /= R[i, c]
+        factors = R[:, c].copy()
+        factors[i] = 0.0
+        R -= np.outer(factors, R[i])
+        R[:, c] = 0.0
+        R[i, c] = 1.0
+        pivot_of[i] = c
+    if len(pivot_of) != dim:
+        raise NumericalError("kernel basis lost rank in echelon form")
+    return R[sorted(pivot_of, key=pivot_of.get)].T
+
+
+def _outside_span(v: np.ndarray, S: np.ndarray) -> bool:
+    if not S.shape[1]:
+        return True
+    U, s, _ = np.linalg.svd(S, full_matrices=False)
+    U = U[:, s > _ZERO_TOL * s[0]]
+    return bool(np.linalg.norm(v - U @ (U.conj().T @ v)) > _ZERO_TOL * np.linalg.norm(v))
+
+
+def _jordan_chains(T: np.ndarray, lam: complex, k: int, defective: bool) -> list[list]:
+    """Jordan chains [(T−λ)^{s−1}v, …, v] of an eigenvalue of multiplicity k,
+    longest first.
+
+    ker (T−λ)^j has dimension d_j: d_1 = k when T is not defective, d_j = k
+    once j = k, and a numeric rank otherwise. There are d_s − d_{s−1}
+    chains of length at least s. Each chain starts at the first echelon
+    vector of ker (T−λ)^s outside ker (T−λ)^{s−1} plus the chains already
+    taken, the vector a symbolic Jordan form picks.
+    """
+    n = T.shape[0]
+    N = T - (lam.real if lam.imag == 0 else lam) * np.eye(n)
+    powers, dims = [np.eye(n)], [0]
+    while dims[-1] < k:
+        powers.append(powers[-1] @ N)
+        dims.append(k if len(dims) == k or not defective else _nullity(powers[-1]))
+    steps = [b - a for a, b in zip(dims, dims[1:])]
+    if dims[-1] != k or min(steps) <= 0 or any(b > a for a, b in zip(steps, steps[1:])):
+        raise NumericalError(f"inconsistent kernel dimensions {dims} at eigenvalue {lam}")
+    sizes = [sum(1 for step in steps if step > t) for t in range(steps[0])]
+    chains: list[list] = []
+    taken: list[np.ndarray] = []
+    for s in sizes:
+        span = np.column_stack([_echelon_kernel(powers[s - 1], dims[s - 1])] + taken)
+        big = _echelon_kernel(powers[s], dims[s])
+        v = next((v for v in big.T if _outside_span(v, span)), None)
+        if v is None:
+            raise NumericalError(f"no Jordan chain of length {s} at eigenvalue {lam}")
+        chain = [v]
+        for _ in range(1, s):
+            chain.append(N @ chain[-1])
+        taken.extend(chain)
+        chains.append(chain[::-1])
+    return chains
+
+
 @functools.lru_cache(maxsize=32)
 def _real_block_basis(rows: tuple[tuple[int, ...], ...]):
-    """Real basis adapted to the spectral subspaces of T, given as a tuple
-    of integer rows; cached per matrix, with read-only arrays.
+    """Real basis adapted to the Jordan chains of T, given as a tuple of
+    integer rows; cached per matrix, with read-only arrays.
 
     Returns (P, Pinv, A, blocks, defective) with T = P A P^{-1}, A block
     diagonal in the returned real basis (checked), blocks a tuple of
-    (slice, |λ|), and defective true when some Jordan block exceeds size 1.
-    Exact via sympy Jordan form; conjugate complex chains are merged into
-    real 2d-blocks.
-    """
-    import sympy  # the only user; importing it costs more than the rest of qmetric
+    (slice, |λ|), one per Jordan chain, and defective true when some Jordan
+    block exceeds size 1.
 
+    Eigenvalues and multiplicities come from the exact squarefree
+    factorization of the characteristic polynomial, and ``defective`` is
+    exact: T is diagonalizable iff its minimal polynomial is squarefree, that
+    is iff the radical f₁ of its characteristic polynomial annihilates it.
+    The chains are numeric (``_jordan_chains``) and normalised as in a
+    symbolic Jordan form; a conjugate pair contributes the real and
+    imaginary parts of the chains of its eigenvalue with Im λ > 0.
+    """
     T = np.array(rows, dtype=np.int64)
-    M = sympy.Matrix(rows)
-    n = M.shape[0]
-    Psym, Jsym = M.jordan_form()
-    raw_blocks = []
-    start = 0
-    for i in range(n):
-        if i == n - 1 or Jsym[i, i + 1] == 0:
-            raw_blocks.append((start, i + 1, Jsym[start, start]))
-            start = i + 1
-    defective = any(e - s > 1 for s, e, _ in raw_blocks)
-    Pc = np.array(Psym.evalf(30).tolist(), dtype=complex)
+    factors = _radical_factors(char_poly_int(T))
+    defective = not _annihilates(factors[0], rows)
     cols: list[np.ndarray] = []
     blocks: list[tuple[slice, float]] = []
-    used = [False] * len(raw_blocks)
-    pos = 0
-    for bi, (s, e, lam) in enumerate(raw_blocks):
-        if used[bi]:
-            continue
-        lam_c = complex(sympy.N(lam, 30))
-        if abs(lam_c.imag) < 1e-12:
-            for c in range(s, e):
-                cols.append(Pc[:, c].real)
-            blocks.append((slice(pos, pos + (e - s)), abs(lam_c)))
-            pos += e - s
-            used[bi] = True
-        else:
-            partner = None
-            for bj in range(bi + 1, len(raw_blocks)):
-                s2, e2, lam2 = raw_blocks[bj]
-                if used[bj] or (e2 - s2) != (e - s):
-                    continue
-                if abs(complex(sympy.N(lam2, 30)) - lam_c.conjugate()) < 1e-20:
-                    partner = bj
-                    break
-            if partner is None:
-                raise NumericalError("unpaired complex eigenvalue in Jordan form")
-            for c in range(s, e):
-                cols.append(Pc[:, c].real)
-                cols.append(Pc[:, c].imag)
-            blocks.append((slice(pos, pos + 2 * (e - s)), abs(lam_c)))
-            pos += 2 * (e - s)
-            used[bi] = True
-            used[partner] = True
+    longest = 0
+    for lam, k in _spectrum(factors):
+        for chain in _jordan_chains(T.astype(float), lam, k, defective):
+            start = len(cols)
+            for v in chain:
+                cols.extend([v.real] if lam.imag == 0 else [v.real, v.imag])
+            blocks.append((slice(start, len(cols)), abs(lam)))
+            longest = max(longest, len(chain))
+    if defective != (longest > 1):
+        raise NumericalError("Jordan chains disagree with the exact defectiveness test")
     P = np.column_stack(cols)
     Pinv = np.linalg.inv(P)
     A = Pinv @ T.astype(float) @ P

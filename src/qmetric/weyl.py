@@ -437,6 +437,26 @@ def monomial_lip_norm(window: WeylWindow, exponents, lam: float) -> float:
     return best
 
 
+def family_lip_max(window: WeylWindow, lam: float) -> float:
+    """max of monomial_lip_norm over weyl_unitary_family(window), the same float.
+
+    A monomial's L is the largest of its per-site terms, each divided by
+    λ^|site|, so the largest over the family sits on a monomial supported on
+    one outermost site: p² − 1 evaluations instead of p^(2W).
+    """
+    p = window.p
+    edge = max(range(window.n_sites), key=lambda k: abs(window.sites[k]))
+    best = 0.0
+    for i in range(p):
+        for j in range(p):
+            if (i, j) == (0, 0):
+                continue
+            exps = [(0, 0)] * window.n_sites
+            exps[edge] = (i, j)
+            best = max(best, monomial_lip_norm(window, exps, lam))
+    return best
+
+
 def exponent_index(window: WeylWindow, exps: Exponents) -> int:
     """Flat index of a monomial exponent in the canonical coefficient basis."""
     p = window.p

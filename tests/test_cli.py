@@ -273,8 +273,20 @@ def test_rerun_rejects_unknown_command(tmp_path):
         assert run(["rerun", src, "--out", tmp_path / "y.csv"]) == 2
 
 
+@pytest.mark.parametrize("config, named", [
+    ('{"command":"shift-entropy","p":2}', "missing keys delta, n_max"),
+    ('{"bogus":1,"command":"shift-entropy","delta":0.5,"n_max":2,"p":2}', "unknown keys bogus"),
+])
+def test_rerun_rejects_header_keys_that_do_not_fit(tmp_path, capsys, config, named):
+    src = tmp_path / "x.csv"
+    src.write_text(f"# config-json: {config}\n")
+    assert run(["rerun", src, "--out", tmp_path / "y.csv"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+
+
 def test_cli_import_leaves_sympy_out():
-    # sympy is imported only by the Jordan-form helper that needs it
+    # qmetric does not use sympy, not even for the spectral basis of the box bound
     import os
     import subprocess
     import sys
@@ -282,7 +294,9 @@ def test_cli_import_leaves_sympy_out():
     import qmetric
 
     env = dict(os.environ, PYTHONPATH=str(Path(qmetric.__file__).resolve().parents[1]))
-    code = "import sys, qmetric.cli; print('sympy' in sys.modules)"
+    code = ("import sys, qmetric.cli; before = 'sympy' in sys.modules; "
+            "qmetric.entropy.box_bound_card([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 1, 3, 0.05); "
+            "print(before, 'sympy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

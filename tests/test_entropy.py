@@ -377,23 +377,81 @@ def test_orbit_growth_at_field_edge_matches_oracle():
         (2**31 - 1, -(2**31 - 1)), (2**31 - 3, -(2**31 - 3)), (1, -1), (-1, 1)}
 
 
-def test_box_bound_computes_one_jordan_form(monkeypatch):
-    import sympy
-
-    calls = []
-    jordan_form = sympy.Matrix.jordan_form
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return jordan_form(self, *args, **kwargs)
-
-    monkeypatch.setattr(sympy.Matrix, "jordan_form", counting)
+def test_box_bound_computes_one_basis():
     entropy._real_block_basis.cache_clear()
     bounds = [entropy.box_bound_card(CAT, 1, n, 0.05) for n in range(1, 6)]
-    assert len(calls) == 1
+    info = entropy._real_block_basis.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
     assert bounds == sorted(bounds)
     P = entropy._real_block_basis(((2, 1), (1, 1)))[0]
     assert not P.flags.writeable
+
+
+# box_bound_card(T, 1, n, 0.05) at n = 1, 5, 14, computed from a symbolic
+# (sympy) Jordan form
+PINNED_BOX_BOUNDS = {
+    "cat": ([[2, 1], [1, 1]],
+        (49.043961347997644, 333896.3144377857, 86048314999.45406)),
+    "cat31": ([[3, 1], [2, 1]],
+        (51.71281292110205, 1305167.2263292458, 7912372888213.222)),
+    "plastic": ([[0, 1, 0], [0, 0, 1], [1, 1, 0]],
+        (733.4926969431216, 8394365.117655762, 57587438949.62403)),
+    "identity": ([[1, 0], [0, 1]],
+        (16.0, 4687.062559515627, 422022.81676195894)),
+    "minus_identity": ([[-1, 0], [0, -1]],
+        (16.0, 4687.062559515627, 422022.81676195894)),
+    "rotation": ([[0, -1], [1, 0]],
+        (16.0, 4687.062559515627, 422022.81676195894)),
+    "parabolic": ([[1, 1], [0, 1]],
+        (58.04988662131519, 103588.19371660735, 24222450.43916484)),
+    "unipotent3": ([[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+        (442.2848504481157, 632224886.640178, 42069847002555.17)),
+    "block_cat": ([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+        (2405.310144703886, 111486748795.13667, 7.404312514245271e+21)),
+    "double_rotation": ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        (256.0, 21968555.43681318, 178103257867.69797)),
+    "rotation_jordan": ([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]],
+        (3369.789336747548, 10730513877.46937, 586727105277797.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BOX_BOUNDS))
+def test_box_bound_matches_symbolic_jordan_form(name):
+    T, want = PINNED_BOX_BOUNDS[name]
+    got = [entropy.box_bound_card(np.array(T), 1, n, 0.05) for n in (1, 5, 14)]
+    assert got == pytest.approx(list(want), rel=1e-12)
+
+
+def _annihilates_exactly(coeffs, T):
+    T = [[int(x) for x in row] for row in T]
+    p = len(T)
+    X = [[0] * p for _ in range(p)]
+    for c in coeffs:
+        X = [[sum(X[i][k] * T[k][j] for k in range(p)) + (c if i == j else 0)
+              for j in range(p)] for i in range(p)]
+    return not any(x for row in X for x in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(growth_cases())
+def test_block_basis_and_box_bound_properties(case):
+    T, m, n = case
+    P, _, _, blocks, defective = entropy._real_block_basis(tuple(map(tuple, T.tolist())))
+    A = np.linalg.solve(P, T @ P)
+    off = A.copy()
+    for sl, _ in blocks:
+        off[sl, sl] = 0.0
+    assert np.abs(off).max() <= 1e-9 * np.abs(A).max()
+    # T is diagonalizable iff the squarefree part of its characteristic
+    # polynomial annihilates it; then every block is an eigenvector or the
+    # real form of a complex one, a normal matrix, while a Jordan chain of
+    # length > 1 gives a block that is not normal
+    radical = entropy._radical_factors(entropy.char_poly_int(T))[0]
+    assert defective == (not _annihilates_exactly(radical, T))
+    normal = [np.abs(B @ B.T - B.T @ B).max() <= 1e-9 * np.abs(A).max() ** 2
+              for B in (A[sl, sl] for sl, _ in blocks)]
+    assert defective == (not all(normal))
+    assert entropy.box_bound_card(T, m, n, 0.05) >= len(oracle_orbit_set(T, m, n))
 
 
 def test_constructor_normalises_keys_and_derives_box():

@@ -178,6 +178,14 @@ def test_lip_norm_scales_with_site():
         )
 
 
+@pytest.mark.parametrize("p, lo, hi, lam", [(2, -1, 1, 0.5), (2, -2, 2, 0.5), (2, -2, 2, 0.9),
+                                             (3, -1, 1, 0.3), (2, -2, 1, 0.6)])
+def test_family_lip_max_equals_max_over_the_family(p, lo, hi, lam):
+    w = weyl.WeylWindow(p, lo, hi)
+    want = max(weyl.monomial_lip_norm(w, exps, lam) for exps in weyl.weyl_unitary_family(w))
+    assert weyl.family_lip_max(w, lam) == want
+
+
 def test_monomial_lip_matches_exhaustive():
     w = weyl.WeylWindow(2, 0, 1)
     for exps in weyl.weyl_unitary_family(w):
