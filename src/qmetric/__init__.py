@@ -3,11 +3,12 @@ entropy on finite quantum metric spaces.
 
 Subpackages by subject:
 
-- linalg: dense complex matrix kernel (Kronecker products, singular
-  spectra, operator norms).
+- linalg: dense complex matrix kernel (validated matrices, operator norms,
+  the unimodular check).
 - weyl: finite clock-and-shift matrix algebras on site windows, the
   product Weyl action, weighted length functions, conditional
-  expectations, and exact Lip seminorms by exhaustive supremum.
+  expectations, and exact Lip seminorms as a supremum over character
+  fibers, pruned by a bound no skipped fiber can beat.
 - nctorus: twisted polynomials over Z^p with bicharacter phases, torus
   action Lip brackets, Fejér/Cesàro machinery, toral maps, and a
   rational-phase clock/shift matrix oracle.

@@ -81,10 +81,13 @@ def dim_exact_orthonormal(m: int, delta: float, strict: bool = True) -> int:
         raise PreconditionError("family size must be >= 1")
     if delta <= 0:
         raise PreconditionError("delta must be positive")
-    for r in range(0, m + 1):
-        if _passes((m - r) / m, delta * delta, strict):
-            return r
-    return m
+    # the passing r are those from some point on; step there from (m - r)/m = δ²
+    r = int(min(max(m * (1.0 - delta * delta), 0.0), m))
+    while r > 0 and _passes((m - r + 1) / m, delta * delta, strict):
+        r -= 1
+    while r < m and not _passes((m - r) / m, delta * delta, strict):
+        r += 1
+    return r
 
 
 def dim_upper_svd(vectors, delta: float, strict: bool = True) -> tuple[int, np.ndarray]:

@@ -34,7 +34,7 @@ from .approxdim import dim_exact_orthonormal
 from .caps import check_cap
 from .errors import NumericalError, PreconditionError, ResourceLimitError
 from .linalg import as_unimodular
-from .nctorus import TwistedPolynomial
+from .nctorus import TwistedPolynomial, reorder_exponent
 from .weyl import WeylElement, weyl_expand
 
 __all__ = [
@@ -182,7 +182,11 @@ class LatticeSet:
         return LatticeSet.from_points(self.p, image)
 
     def __contains__(self, point) -> bool:
-        key = _pack(np.asarray(point, dtype=np.int64).reshape(1, self.p), self.p)[0]
+        if len(point) != self.p:
+            raise PreconditionError(f"point {point} has wrong length for p={self.p}")
+        if not all(lo <= x <= hi for x, lo, hi in zip(point, self.lo, self.hi)):
+            return False
+        key = _pack(np.array([point], dtype=np.int64), self.p)[0]
         i = np.searchsorted(self.keys, key)
         return bool(i < len(self.keys) and self.keys[i] == key)
 
@@ -611,23 +615,29 @@ def shift_entropy_bracket(p: int, n: int, delta: float) -> tuple[float, float]:
     return float(lower), float(upper)
 
 
-def _twisted_monomials(omega) -> list[tuple[tuple[int, ...], complex]] | None:
-    keys = []
-    for a in omega:
-        if not isinstance(a, TwistedPolynomial) or not a.is_monomial:
-            return None
-        (k, c), = a.coeffs.items()
-        keys.append((k, c))
-    return keys
+def _cmul(a, b):
+    """a·b on real and imaginary parts, rounded as Python's scalar complex product."""
+    re, im = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    return np.stack((re, im), axis=-1).view(np.complex128)[..., 0]
 
 
-def product_set(omega, alpha, n: int, cap: int | None = None):
+def _monomial_arrays(layer, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents (range-checked as Python integers) and coefficients of monomials."""
+    exps, coeffs = zip(*(next(iter(a.coeffs.items())) for a in layer))
+    cols = list(zip(*exps))
+    _check_range([min(c) for c in cols], [max(c) for c in cols], p)
+    return np.array(exps, dtype=np.int64), np.array(coeffs, dtype=np.complex128)
+
+
+def product_set(omega, alpha, n: int):
     """All ordered products a_0 α(a_1) ⋯ α^{n-1}(a_{n-1}) for a_i in Ω.
 
-    Twisted-polynomial monomial families take a symbolic path: exponents
-    add (with reordering phases folded into the coefficient) and results
-    are deduplicated by exponent, first representative kept. Other inputs
-    take the dense path, capped at |Ω|^n elements. Weyl elements are
+    Layer j is α applied to layer j−1. If every layer is made of twisted
+    monomials, exponents add as packed lattice keys (so p <= 4), reordering
+    phases go into the coefficient, and the first product per exponent over
+    (kept product, layer monomial) pairs is kept; pairs come in batches of at
+    most _MERGE_BUDGET, each followed by a product_set cap check. Other
+    inputs take the dense path, capped at |Ω|^n elements; Weyl elements are
     deduplicated by coefficient support.
     """
     omega = list(omega)
@@ -635,60 +645,44 @@ def product_set(omega, alpha, n: int, cap: int | None = None):
         raise PreconditionError("n must be >= 1")
     if not omega:
         raise PreconditionError("Ω must be nonempty")
-    if cap is None:
-        from .caps import get_cap
-
-        cap = get_cap("product_set")
-
-    monos = _twisted_monomials(omega)
-    if monos is not None:
+    layers = [omega]
+    for _ in range(1, n):
+        layers.append([alpha(a) for a in layers[-1]])
+    if all(isinstance(a, TwistedPolynomial) and a.is_monomial for layer in layers for a in layer):
         phase = omega[0].phase
-        layers = [monos]
-        elems = list(omega)
-        symbolic = True
-        for _ in range(1, n):
-            elems = [alpha(a) for a in elems]
-            layer = _twisted_monomials(elems)
-            if layer is None:
-                symbolic = False
-                break
-            layers.append(layer)
-        if symbolic:
-            from .nctorus import reorder_exponent
+        p = phase.p
+        keys, coeffs = _monomial_arrays(omega, p)
+        first = np.sort(np.unique(_pack(keys, p), return_index=True)[1])
+        keys, coeffs = keys[first], coeffs[first]
+        check_cap("product_set", len(keys), "product set")
+        for layer in layers[1:]:
+            k2, c2 = _monomial_arrays(layer, p)
+            rows = max(1, _MERGE_BUDGET // len(k2))
+            seen = np.zeros(0, dtype=np.uint64)
+            new_keys, new_coeffs = [], []
+            for start in range(0, len(keys), rows):
+                k1, c1 = keys[start:start + rows], coeffs[start:start + rows]
+                cand = _pack((k1[:, None] + k2[None]).reshape(-1, p), p)
+                uniq, first = np.unique(cand, return_index=True)
+                first = np.sort(first[~np.isin(uniq, seen, assume_unique=True)])
+                seen = _sorted_unique(np.concatenate([seen, uniq]))
+                check_cap("product_set", len(seen), "product set")
+                i, j = np.divmod(first, len(k2))
+                new_keys.append(k1[i] + k2[j])
+                twist = np.exp(2j * np.pi * reorder_exponent(k1[i], k2[j], phase))
+                new_coeffs.append(_cmul(_cmul(c1[i], c2[j]), twist))
+            keys, coeffs = np.concatenate(new_keys), np.concatenate(new_coeffs)
+        order = np.lexsort(keys.T[::-1])
+        return [TwistedPolynomial.monomial(phase, k, c)
+                for k, c in zip(keys[order].tolist(), coeffs[order].tolist())]
 
-            acc: dict[tuple[int, ...], complex] = {}
-            for k, c in layers[0]:
-                acc.setdefault(k, c)
-            if len(acc) > cap:
-                raise ResourceLimitError("product set exceeds cap")
-            for layer in layers[1:]:
-                nxt: dict[tuple[int, ...], complex] = {}
-                for k1, c1 in acc.items():
-                    for k2, c2 in layer:
-                        key = tuple(a + b for a, b in zip(k1, k2))
-                        if key not in nxt:
-                            nxt[key] = c1 * c2 * np.exp(
-                                2j * np.pi * reorder_exponent(k1, k2, phase)
-                            )
-                            if len(nxt) > cap:
-                                raise ResourceLimitError("product set exceeds cap")
-                acc = nxt
-            return [TwistedPolynomial.monomial(phase, k, c) for k, c in sorted(acc.items())]
-
-    total = len(omega) ** n
-    if total > cap:
-        raise ResourceLimitError(f"dense product set of size {total} exceeds cap {cap}")
+    check_cap("product_set", len(omega) ** n, "dense product set")
     products = list(omega)
-    for j in range(1, n):
-        layer = omega
-        for _ in range(j):
-            layer = [alpha(a) for a in layer]
+    for layer in layers[1:]:
         products = [a * b for a in products for b in layer]
-    if products and isinstance(products[0], WeylElement):
+    if isinstance(products[0], WeylElement):
         seen: dict[tuple, WeylElement] = {}
         for a in products:
-            key = tuple(sorted(weyl_expand(a).data))
-            if key not in seen:
-                seen[key] = a
+            seen.setdefault(tuple(sorted(weyl_expand(a).data)), a)
         return list(seen.values())
     return products

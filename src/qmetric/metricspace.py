@@ -143,13 +143,15 @@ def greedy_spanning(space: FiniteMetricSpace, delta: float) -> list[int]:
         raise PreconditionError("delta must be positive")
     covered = np.zeros(space.n, dtype=bool)
     balls = space.dist <= delta
+    # gains[i] counts the uncovered points in ball i, kept up to date per pick
+    gains = balls.sum(axis=1)
     chosen = []
     while not covered.all():
-        gains = balls[:, ~covered].sum(axis=1)
         i = int(np.argmax(gains))
         if gains[i] == 0:
             raise PreconditionError("spanning construction stalled")
         chosen.append(i)
+        gains -= balls[:, balls[i] & ~covered].sum(axis=1)
         covered |= balls[i]
     return chosen
 

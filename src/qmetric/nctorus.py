@@ -75,11 +75,12 @@ class PhaseMatrix:
         return hash((self.p, self.theta.tobytes()))
 
 
-def reorder_exponent(k, l, phase: PhaseMatrix) -> float:
-    """Additive phase Σ_{i<j} θ_ij k_j l_i with (k-mono)(l-mono) = e^{2πi·} (k+l)-mono."""
-    k = np.asarray(k, dtype=np.int64)
-    l = np.asarray(l, dtype=np.int64)
-    if k.shape != (phase.p,) or l.shape != (phase.p,):
+def reorder_exponent(k, l, phase: PhaseMatrix):
+    """Additive phase Σ_{i<j} θ_ij k_j l_i with (k-mono)(l-mono) = e^{2πi·} (k+l)-mono;
+    the rows of (N, p) stacks broadcast to N phases (0.0 when p = 1)."""
+    k = np.asarray(k, dtype=np.int64).T
+    l = np.asarray(l, dtype=np.int64).T
+    if k.shape[:1] != (phase.p,) or l.shape[:1] != (phase.p,):
         raise PreconditionError(f"exponents must have length {phase.p}")
     total = 0.0
     th = phase.theta

@@ -160,14 +160,14 @@ def normalize_exponents(window: WeylWindow, exponents) -> Exponents:
     return exponents
 
 
-def _generalized_diagonal_indices(p: int, n_sites: int, jvec: tuple[int, ...]):
-    """Row/column flat indices of the entries a[b, b+j] over all b."""
-    d = p**n_sites
-    rows = np.arange(d)
-    digits = (rows[:, None] // (p ** np.arange(n_sites - 1, -1, -1))[None, :]) % p
-    cols_digits = (digits + np.asarray(jvec)[None, :]) % p
-    cols = cols_digits @ (p ** np.arange(n_sites - 1, -1, -1))
-    return rows, cols
+def _diagonal_columns(p: int, digits: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Flat column of a[b, b+j] per row b and shift j, one digit at a time
+    (a (rows, shifts, W) broadcast is too large)."""
+    W = digits.shape[1]
+    cols = np.zeros((len(digits), len(shifts)), dtype=np.int64)
+    for k in range(W):
+        cols += (digits[:, k, None] + shifts[None, :, k]) % p * p ** (W - 1 - k)
+    return cols
 
 
 # entries per batched array (diagonals in weyl_expand, fiber factors in
@@ -194,18 +194,14 @@ def weyl_expand(a: WeylElement) -> WeylCoefficients:
     p, W, d = w.p, w.n_sites, w.dim
     m = a.matrix
     thresh = _EXPAND_TOL * float(np.abs(m).max())
-    place = p ** np.arange(W - 1, -1, -1)
-    digits = (np.arange(d)[:, None] // place[None, :]) % p
+    digits = (np.arange(d)[:, None] // (p ** np.arange(W - 1, -1, -1))[None, :]) % p
     digit_tuples = [tuple(row) for row in digits.tolist()]
     rows = np.arange(d)[:, None]
     batch = max(1, _BATCH_ENTRIES // d)
     data: dict[Exponents, complex] = {}
     for start in range(0, d, batch):
         shifts = digits[start:start + batch]
-        # column of a[b, b+j], one digit at a time: a (d, d, W) broadcast is too large
-        cols = np.zeros((d, len(shifts)), dtype=np.int64)
-        for k in range(W):
-            cols += (digits[:, k, None] + shifts[None, :, k]) % p * place[k]
+        cols = _diagonal_columns(p, digits, shifts)
         diags = m[rows, cols].reshape((p,) * W + (len(shifts),))
         coeff = (np.fft.fftn(diags, axes=tuple(range(W))) / d).reshape(d, -1).T
         for jj, iflat in zip(*np.nonzero(np.abs(coeff) > thresh)):
@@ -226,9 +222,11 @@ def reconstruct(coeffs: WeylCoefficients) -> WeylElement:
         tensor = by_shift.setdefault(jvec, np.zeros(shape, dtype=np.complex128))
         tensor[ivec] += c
     m = np.zeros((d, d), dtype=np.complex128)
+    rows = np.arange(d)
+    digits = (rows[:, None] // (p ** np.arange(W - 1, -1, -1))[None, :]) % p
     for jvec, tensor in by_shift.items():
         diag = np.fft.ifftn(tensor) * d
-        rows, cols = _generalized_diagonal_indices(p, W, jvec)
+        cols = _diagonal_columns(p, digits, np.array([jvec]))[:, 0]
         m[rows, cols] += diag.reshape(-1)
     return WeylElement(w, m)
 

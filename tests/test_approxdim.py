@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmetric import approxdim as ad
 from qmetric.errors import PreconditionError
@@ -18,6 +22,41 @@ def test_exact_orthonormal_table():
     assert ad.dim_exact_orthonormal(1, 0.5) == 1
     # non-strict convention accepts the boundary
     assert ad.dim_exact_orthonormal(4, 0.5, strict=False) == 3
+
+
+def scan_exact_orthonormal(m, delta, strict=True):
+    """min{r : (m - r)/m < δ²} by a linear scan over r (oracle)."""
+    for r in range(0, m + 1):
+        if ad._passes((m - r) / m, delta * delta, strict):
+            return r
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5000), st.floats(1e-4, 1.5), st.booleans(), st.integers(0, 5000))
+@example(4, 0.5, True, 3)
+@example(10**6, 1e-4, False, 10**6 - 1)
+def test_exact_orthonormal_matches_scan(m, delta, strict, r):
+    assert ad.dim_exact_orthonormal(m, delta, strict) == scan_exact_orthonormal(m, delta, strict)
+    # and at an exact boundary δ² = (m - r)/m, where the tie slack decides
+    boundary = math.sqrt((m - r % m) / m)
+    assert ad.dim_exact_orthonormal(m, boundary, strict) == scan_exact_orthonormal(
+        m, boundary, strict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2**50), st.floats(1e-4, 1.5), st.booleans())
+@example(10**13, 0.5, False)  # the tie slack admits r about 10 below m(1 - δ²)
+def test_exact_orthonormal_matches_bisection_at_large_m(m, delta, strict):
+    # a scan is too slow here; the test is monotone in r, so bisect
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ad._passes((m - mid) / m, delta * delta, strict):
+            hi = mid
+        else:
+            lo = mid + 1
+    assert ad.dim_exact_orthonormal(m, delta, strict) == lo
 
 
 def test_lower_spectral_boundary_and_noise():
@@ -60,6 +99,25 @@ def test_bracket_order_on_orthonormal_grid():
         upper, _ = ad.dim_upper_svd(fam, delta)
         assert lower <= exact <= upper
         assert upper - lower <= 1 or abs((32 - lower) / 32 - delta**2) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8), st.booleans(),
+       st.floats(0.05, 1.2), st.floats(0.05, 1.2))
+def test_bracket_ordered_and_nonincreasing_in_delta(seed, d, m, orthonormal, d1, d2):
+    rng = np.random.default_rng(seed)
+    if orthonormal:
+        fam = orthonormal_family(max(d, m), m, seed)
+    else:
+        fam = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    small, large = sorted((d1, d2))
+    at_small = ad.dim_bracket(fam, small, "t")
+    at_large = ad.dim_bracket(fam, large, "t")
+    for b in (at_small, at_large):
+        assert b.lower <= b.upper
+        assert ad.dim_lower_spectral(fam, b.delta) <= ad.dim_upper_svd(fam, b.delta)[0]
+    assert at_large.lower <= at_small.lower
+    assert at_large.upper <= at_small.upper
 
 
 def test_orthonormal_lower_bound_guarantee():

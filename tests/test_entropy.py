@@ -16,6 +16,13 @@ def test_cube_and_contains():
     assert k1.cardinality == 9
     assert (0, 0) in k1 and (1, -1) in k1 and (2, 0) not in k1
     assert entropy.LatticeSet.cube(3, 2).cardinality == 125
+    # points outside the box, even outside the 16-bit field, are not members
+    k3 = entropy.LatticeSet.cube(3, 1)
+    assert (1, 1, -1) in k3 and (1, 2, 0) not in k3
+    assert (40000, 0, 0) not in k3 and (-2**70, 0, 0) not in k3
+    assert (0, 0) not in entropy.LatticeSet.from_points(2, [])
+    with pytest.raises(PreconditionError):
+        (1, 2) in k3
 
 
 def test_linear_image_preserves_cardinality():
@@ -243,11 +250,114 @@ def test_product_set_symbolic_matches_dense():
     assert {a.support[0] for a in symbolic} == dense_exps
 
 
-def test_product_set_dense_cap():
+def test_product_set_dense_cap(monkeypatch):
     ph = nctorus.PhaseMatrix.two_torus(0.25)
     two = nctorus.TwistedPolynomial.monomial(ph, (1, 0)) + nctorus.TwistedPolynomial.one(ph)
+    monkeypatch.setenv("QMETRIC_CAP", "product_set=100")
     with pytest.raises(ResourceLimitError):
-        entropy.product_set([two] * 8, lambda a: a, 8, cap=100)
+        entropy.product_set([two] * 8, lambda a: a, 8)
+
+
+def scalar_product_set(omega, alpha, n):
+    """The monomial product set by one Python loop over every (kept exponent,
+    layer monomial) pair, first representative per exponent (oracle)."""
+    phase = omega[0].phase
+    layers = [[next(iter(a.coeffs.items())) for a in omega]]
+    elems = list(omega)
+    for _ in range(1, n):
+        elems = [alpha(a) for a in elems]
+        layers.append([next(iter(a.coeffs.items())) for a in elems])
+    acc = {}
+    for k, c in layers[0]:
+        acc.setdefault(k, c)
+    for layer in layers[1:]:
+        nxt = {}
+        for k1, c1 in acc.items():
+            for k2, c2 in layer:
+                key = tuple(a + b for a, b in zip(k1, k2))
+                if key not in nxt:
+                    x1, x2 = np.asarray(k1, dtype=np.int64), np.asarray(k2, dtype=np.int64)
+                    twist = 0.0
+                    for i in range(phase.p):
+                        for j in range(i + 1, phase.p):
+                            twist += phase.theta[i, j] * x1[j] * x2[i]
+                    nxt[key] = c1 * c2 * np.exp(2j * np.pi * twist)
+        acc = nxt
+    return sorted(acc.items())
+
+
+def _unimodular(rng, p):
+    """A random sign diagonal changed by elementary row operations (det ±1)."""
+    T = np.diag(rng.choice([-1, 1], size=p)).astype(np.int64)
+    for _ in range(3 * p):
+        i, j = rng.integers(p, size=2)
+        if i != j:
+            T[i] += rng.integers(-1, 2) * T[j]
+    return T
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([5, 37, 1 << 22]))
+def test_product_set_equals_scalar_loop(p, seed, budget):
+    rng = np.random.default_rng(seed)
+    theta = rng.random((p, p))
+    phase = nctorus.PhaseMatrix(p, (theta - theta.T) % 1.0)
+    tm = nctorus.ToralMap(_unimodular(rng, p), rng.random(p))
+    # exponents from a small cube, with repeats
+    exps = [tuple(x) for x in rng.integers(-1, 2, size=(int(rng.integers(2, 8)), p))]
+    exps += exps[:2]
+    omega = [nctorus.TwistedPolynomial.monomial(phase, k, np.exp(2j * np.pi * rng.random()))
+             for k in exps]
+    alpha = lambda a: nctorus.toral_map_apply(tm, a)
+    n = 3 if p <= 2 else 2
+    expect = scalar_product_set(omega, alpha, n)
+    old_budget = entropy._MERGE_BUDGET
+    entropy._MERGE_BUDGET = budget
+    try:
+        got = entropy.product_set(omega, alpha, n)
+    finally:
+        entropy._MERGE_BUDGET = old_budget
+    got = [next(iter(a.coeffs.items())) for a in got]
+    assert [k for k, _ in got] == [k for k, _ in expect]
+    # same bits, not just close: the phase and both products round as the loop does
+    assert [c for _, c in got] == [c for _, c in expect]
+    assert all(np.signbit([c.real, c.imag]).tolist() == np.signbit([d.real, d.imag]).tolist()
+               for (_, c), (_, d) in zip(got, expect))
+
+
+def test_product_set_symbolic_cap(monkeypatch):
+    ph = nctorus.PhaseMatrix.two_torus(0.25)
+    tm = nctorus.ToralMap(CAT)
+    omega = [nctorus.TwistedPolynomial.monomial(ph, k) for k in itertools.product((-1, 0, 1), repeat=2)]
+    alpha = lambda a: nctorus.toral_map_apply(tm, a)
+    card = entropy.lattice_orbit_card(CAT, 1, 3).counts[-1]
+    monkeypatch.setenv("QMETRIC_CAP", f"product_set={card}")
+    assert len(entropy.product_set(omega, alpha, 3)) == card
+    monkeypatch.setenv("QMETRIC_CAP", f"product_set={card - 1}")
+    with pytest.raises(ResourceLimitError):
+        entropy.product_set(omega, alpha, 3)
+    # checked per batch as well
+    monkeypatch.setattr(entropy, "_MERGE_BUDGET", 9)
+    with pytest.raises(ResourceLimitError):
+        entropy.product_set(omega, alpha, 3)
+    monkeypatch.setenv("QMETRIC_CAP", "product_set=8")
+    with pytest.raises(ResourceLimitError):
+        entropy.product_set(omega, alpha, 1)
+
+
+def test_product_set_rank_and_field_limits():
+    # exponents share the lattice key fields: p <= 4, |x| < 2^15 for p in {3, 4}
+    ph5 = nctorus.PhaseMatrix(5, np.zeros((5, 5)))
+    with pytest.raises(PreconditionError):
+        entropy.product_set([nctorus.TwistedPolynomial.one(ph5)], lambda a: a, 2)
+    ph3 = nctorus.PhaseMatrix(3, np.zeros((3, 3)))
+    edge = [nctorus.TwistedPolynomial.monomial(ph3, (20000, 0, 0))]
+    assert len(entropy.product_set(edge, lambda a: a, 1)) == 1
+    with pytest.raises(ResourceLimitError):
+        entropy.product_set(edge, lambda a: a, 2)
+    far = [nctorus.TwistedPolynomial.monomial(ph3, (2**70, 0, 0))]
+    with pytest.raises(ResourceLimitError):
+        entropy.product_set(far, lambda a: a, 1)
 
 
 def test_cat_slope_below_eigen_plus_pad_and_diffs_monotone():

@@ -96,6 +96,32 @@ def test_spn_never_exceeds_sep(seed, n, delta):
     assert 1 <= stats.spn <= stats.sep
 
 
+def recount_spanning(space, delta):
+    """Greedy set cover that recounts every ball's gain at each step (oracle)."""
+    covered = np.zeros(space.n, dtype=bool)
+    balls = space.dist <= delta
+    chosen = []
+    while not covered.all():
+        i = int(np.argmax(balls[:, ~covered].sum(axis=1)))
+        chosen.append(i)
+        covered |= balls[i]
+    return chosen
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.integers(0, 2**32 - 1), strategies.integers(2, 80),
+       strategies.floats(0.02, 0.8), strategies.booleans())
+def test_greedy_spanning_matches_recount(seed, n, delta, lattice):
+    rng = np.random.default_rng(seed)
+    if lattice:
+        # points of a small integer grid: many balls tie on their gain
+        pts = np.unique(rng.integers(0, 8, size=(n, 2)), axis=0) / 8.0
+    else:
+        pts = rng.random((n, 2))
+    space = ms.FiniteMetricSpace.from_points(pts)
+    assert ms.greedy_spanning(space, delta) == recount_spanning(space, delta)
+
+
 def test_monotone_in_delta():
     rng = np.random.default_rng(3)
     space = ms.FiniteMetricSpace.from_points(rng.random((30, 2)))

@@ -208,6 +208,31 @@ def test_leibniz_rule():
         assert lab <= bound * (1 + 1e-9)
 
 
+@st.composite
+def element_pairs(draw):
+    """Two elements on one small window, each with 1-6 random monomials."""
+    p, lo, hi = draw(st.sampled_from([(2, 0, 0), (2, 0, 1), (2, -1, 1), (3, 0, 0), (3, -1, 0),
+                                      (4, 0, 0)]))
+    window = weyl.WeylWindow(p, lo, hi)
+    family = weyl.weyl_unitary_family(window)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for _ in range(2):
+        exps = draw(st.lists(st.sampled_from(family), min_size=1, max_size=6, unique=True))
+        coeffs = {e: complex(rng.standard_normal(), rng.standard_normal()) for e in exps}
+        pair.append(weyl.reconstruct(weyl.WeylCoefficients(window, coeffs)))
+    return pair[0], pair[1], draw(st.sampled_from([0.3, 0.5, 0.8]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(element_pairs())
+def test_leibniz_rule_property(case):
+    a, b, lam = case
+    lab = weyl.weyl_lip_norm(a * b, lam)
+    bound = weyl.weyl_lip_norm(a, lam) * b.norm() + a.norm() * weyl.weyl_lip_norm(b, lam)
+    assert lab <= bound * (1 + 1e-12)
+
+
 def test_adjoint_invariance():
     rng = np.random.default_rng(31)
     w = weyl.WeylWindow(2, 0, 1)
