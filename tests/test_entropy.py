@@ -330,16 +330,21 @@ def test_product_set_symbolic_cap(monkeypatch):
     tm = nctorus.ToralMap(CAT)
     omega = [nctorus.TwistedPolynomial.monomial(ph, k) for k in itertools.product((-1, 0, 1), repeat=2)]
     alpha = lambda a: nctorus.toral_map_apply(tm, a)
-    card = entropy.lattice_orbit_card(CAT, 1, 3).counts[-1]
-    monkeypatch.setenv("QMETRIC_CAP", f"product_set={card}")
-    assert len(entropy.product_set(omega, alpha, 3)) == card
-    monkeypatch.setenv("QMETRIC_CAP", f"product_set={card - 1}")
+    counts = entropy.lattice_orbit_card(CAT, 1, 3).counts
+    monkeypatch.setenv("QMETRIC_CAP", f"product_set={counts[-1]}")
+    assert len(entropy.product_set(omega, alpha, 3)) == counts[-1]
+    monkeypatch.setenv("QMETRIC_CAP", f"product_set={counts[-1] - 1}")
     with pytest.raises(ResourceLimitError):
         entropy.product_set(omega, alpha, 3)
-    # checked per batch as well
+    # one kept product per batch: the last layer stops long before its 37 batches
+    packed = []
+    pack = entropy._pack
+    monkeypatch.setattr(entropy, "_pack", lambda pts, p: packed.append(len(pts)) or pack(pts, p))
     monkeypatch.setattr(entropy, "_MERGE_BUDGET", 9)
+    monkeypatch.setenv("QMETRIC_CAP", f"product_set={counts[1]}")
     with pytest.raises(ResourceLimitError):
         entropy.product_set(omega, alpha, 3)
+    assert len(packed) < 1 + counts[0] + counts[1]
     monkeypatch.setenv("QMETRIC_CAP", "product_set=8")
     with pytest.raises(ResourceLimitError):
         entropy.product_set(omega, alpha, 1)
