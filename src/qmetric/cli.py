@@ -2,9 +2,10 @@
 
 One experiment per subcommand, no interactive mode. Every output carries a
 header echoing the full configuration as canonical JSON; rerunning from
-that header (``qmetric rerun``) reproduces byte-identical bodies. CSV uses
-'.' decimals and 12 significant digits. Timestamps appear only under
---stamp.
+that header (``qmetric rerun``) reproduces byte-identical bodies. A run that
+reads files also records each one's sha256, and a rerun refuses to read an
+input whose contents changed since. CSV uses '.' decimals and 12 significant
+digits. Timestamps appear only under --stamp.
 
 Exit codes: 0 ok, 2 precondition violated, 3 resource cap exceeded,
 4 internal numerical failure.
@@ -50,8 +51,11 @@ def _write(path, text: str) -> None:
             fh.write(text)
 
 
-def _header(command: str, params: dict, stamp: bool) -> list[str]:
+def _header(command: str, params: dict, digests: dict, stamp: bool) -> list[str]:
     lines = [f"# qmetric {__version__}", f"# config-json: {_config_json(command, params)}"]
+    if digests:
+        digest_json = json.dumps(digests, sort_keys=True, separators=(",", ":"))
+        lines.append(f"# input-sha256: {digest_json}")
     if stamp:
         lines.append(f"# stamp: {datetime.datetime.now().isoformat()}")
     return lines
@@ -284,11 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="dimension and entropy experiments on finite quantum metric spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    path_keys = set()
+    path_keys, input_keys = set(), set()
 
-    def file_arg(sp, flag, **kw):
-        # a flag naming a file; its header entry is relative to the output's directory
-        path_keys.add(sp.add_argument(flag, metavar="FILE", **kw).dest)
+    def file_arg(sp, flag, written=False, **kw):
+        # a flag naming a file; its header entry is relative to the output's
+        # directory, and a file the run reads has its sha256 recorded too
+        dest = sp.add_argument(flag, metavar="FILE", **kw).dest
+        path_keys.add(dest)
+        if not written:
+            input_keys.add(dest)
 
     def experiment(name, run, about):
         sp = sub.add_parser(name, help=about)
@@ -311,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-min", type=int, default=1)
     sp.add_argument("--n-max", type=int, default=6)
     file_arg(sp, "--element", default=None, help="twisted-polynomial JSON to bracket")
-    file_arg(sp, "--element-out", default=None, help="write its Cesàro mean as JSON")
+    file_arg(sp, "--element-out", written=True, default=None,
+             help="write its Cesàro mean as JSON")
 
     sp = experiment("shift-entropy", run_shift_entropy, "shift entropy brackets")
     sp.add_argument("--p", type=int, default=2)
@@ -349,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--json-out", default=None)
     parser.path_keys = frozenset(path_keys)
+    parser.input_keys = frozenset(input_keys)
     parser.commands = sub.choices
     return parser
 
@@ -373,12 +383,45 @@ def _relocate(params: dict, path_keys, src_dir: str, out) -> tuple[dict, dict]:
     return used, recorded
 
 
-def extract_config(path: str) -> dict:
+def _header_json(path: str, key: str) -> dict | None:
+    """The JSON object on the ``# key: `` line of path's header, None without one."""
+    prefix = f"# {key}: "
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            if line.startswith("# config-json: "):
-                return json.loads(line[len("# config-json: ") :])
-    raise PreconditionError(f"no config-json header in {path}")
+            if not line.startswith("#"):
+                break
+            if line.startswith(prefix):
+                try:
+                    value = json.loads(line[len(prefix):])
+                except ValueError:
+                    value = None
+                if not isinstance(value, dict):
+                    raise PreconditionError(f"the {key} line in {path} is not a JSON object")
+                return value
+    return None
+
+
+def extract_config(path: str) -> dict:
+    config = _header_json(path, "config-json")
+    if config is None:
+        raise PreconditionError(f"no config-json header in {path}")
+    return config
+
+
+def _input_digests(used: dict, input_keys) -> dict:
+    """sha256 of every file the run reads, by config key."""
+    files = {k: used[k] for k in input_keys & used.keys() if used[k]}
+    if not files:
+        return {}
+    # hashlib loads OpenSSL (about 4 ms and 3.5 MB resident): only runs that
+    # read a file import it
+    import hashlib
+
+    digests = {}
+    for k, path in files.items():
+        with open(path, "rb") as fh:
+            digests[k] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
 
 
 def main(argv=None) -> int:
@@ -386,7 +429,7 @@ def main(argv=None) -> int:
     params = vars(parser.parse_args(argv))
     command, run = params.pop("command"), params.pop("run", None)
     out, json_out, stamp = (params.pop(k, False) for k in _OUTPUT_KEYS)  # rerun has no --stamp
-    src_dir = ""
+    src_dir, known = "", None  # known: the input digests a rerun's header recorded
     try:
         if run is None:  # rerun: the experiment and its config come from the header
             source = params["source"]
@@ -404,9 +447,19 @@ def main(argv=None) -> int:
                 raise PreconditionError(
                     f"config in {source} does not fit {command}: {'; '.join(problems)}")
             src_dir = os.path.dirname(source)
+            known = _header_json(source, "input-sha256")  # None: written before digests
         used, recorded = _relocate(params, parser.path_keys, src_dir, out)
+        digests = _input_digests(used, parser.input_keys)
+        if known is not None:
+            changed = sorted(k for k in known.keys() | digests.keys()
+                             if known.get(k) != digests.get(k))
+            if changed:
+                names = ", ".join(str(used.get(k) or k) for k in changed)
+                raise PreconditionError(f"{names} changed since {source} was written "
+                                        "(sha256 differs from its header)")
         body, summary = run(used)
-        _write(out, "".join(line + "\n" for line in _header(command, recorded, stamp) + body))
+        header = _header(command, recorded, digests, stamp)
+        _write(out, "".join(line + "\n" for line in header + body))
         if json_out is not None:
             _write(json_out, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except QMetricError as exc:

@@ -13,8 +13,10 @@ yields an exact Lip seminorm as a supremum over the finite group, taken
 fiber by fiber and pruned by an upper bound that no skipped fiber can beat.
 
 Monomial exponents are tuples of (i, j) pairs, one pair per site in window
-order. The coefficient basis is the ground truth for conditional
-expectations and for GNS vectors.
+order. The coefficient basis is the ground truth for GNS vectors and for
+serialization. Conditional expectations need no basis: since τ(u^i v^j) = 0
+unless i = j = 0, E_n is the normalized partial trace over the sites outside
+[-n, n], taken on the matrix directly.
 """
 
 from __future__ import annotations
@@ -125,18 +127,13 @@ def clock_shift(p: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-@lru_cache(maxsize=128)
-def _site_monomials(p: int) -> np.ndarray:
-    """Stack of u^i v^j for all (i, j), indexed [i, j, :, :]."""
-    u, v = clock_shift(p)
-    out = np.empty((p, p, p, p), dtype=np.complex128)
-    ui = np.eye(p, dtype=np.complex128)
-    for i in range(p):
-        vj = np.eye(p, dtype=np.complex128)
-        for j in range(p):
-            out[i, j] = ui @ vj
-            vj = vj @ v
-        ui = ui @ u
+@lru_cache(maxsize=64)
+def _site_power(p: int, which: int, k: int) -> np.ndarray:
+    """u^k (which = 0) or v^k (which = 1) as the iterated product 1·g·g·…·g."""
+    g = clock_shift(p)[which]
+    out = np.eye(p, dtype=np.complex128)
+    for _ in range(k):
+        out = out @ g
     out.flags.writeable = False
     return out
 
@@ -144,10 +141,10 @@ def _site_monomials(p: int) -> np.ndarray:
 def weyl_monomial(window: WeylWindow, exponents: Exponents) -> WeylElement:
     """Tensor product of per-site u^i v^j over the window."""
     exponents = normalize_exponents(window, exponents)
-    mono = _site_monomials(window.p)
+    p = window.p
     out = np.array([[1.0 + 0j]])
     for i, j in exponents:
-        out = np.kron(out, mono[i, j])
+        out = np.kron(out, _site_power(p, 0, i) @ _site_power(p, 1, j))
     return WeylElement(window, out)
 
 
@@ -280,19 +277,30 @@ def shift_lipschitz_number(lam: float) -> float:
 
 
 def conditional_expectation(a: WeylElement, n: int) -> WeylElement:
-    """E_n: kill every Weyl coefficient with a nontrivial exponent outside [-n, n]."""
+    """E_n: kill every Weyl coefficient with a nontrivial exponent outside [-n, n].
+
+    Since τ(u^i v^j) = 0 unless i = j = 0, this is τ_outer(a) ⊗ 1_outer, the
+    normalized partial trace over the sites outside [-n, n]. With the matrix
+    viewed as (L, M, R, L, M, R), L and R the outer sides left and right of the
+    kept sites, the block is the sum over the diagonals of L and R divided by
+    L·R, written back on the same diagonals of a zeroed matrix. When [-n, n]
+    covers the window, E_n a = a and a itself is returned.
+    """
     w = a.window
     if n < 0:
         raise PreconditionError("E_n needs n >= 0")
     if w.hi < -n or w.lo > n:
         raise PreconditionError(f"window [{w.lo},{w.hi}] does not intersect [-{n},{n}]")
-    coeffs = weyl_expand(a)
-    kept = {
-        exps: c
-        for exps, c in coeffs.data.items()
-        if all(pair == (0, 0) for site, pair in zip(w.sites, exps) if abs(site) > n)
-    }
-    return reconstruct(WeylCoefficients(w, kept))
+    p = w.p
+    left = p ** (max(w.lo, -n) - w.lo)
+    right = p ** (w.hi - min(w.hi, n))
+    if left == right == 1:
+        return a
+    mid = w.dim // (left * right)
+    block = np.einsum("aibajb->ij", a.matrix.reshape((left, mid, right) * 2)) / (left * right)
+    out = np.zeros((left, mid, right) * 2, dtype=np.complex128)
+    np.einsum("aibajb->abij", out)[...] = block
+    return WeylElement(w, out.reshape(w.dim, w.dim))
 
 
 def site_length(p: int, r: int, s: int) -> float:
@@ -341,12 +349,30 @@ def _enumerate_group(p: int, n_coords: int, chunk: int = 1 << 16):
         yield (idx[:, None] // powers[None, :]) % p
 
 
-def _fiber_minima(chars: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct character rows and the minimal length over each one's fiber."""
-    fibers, inverse = np.unique(chars, axis=0, return_inverse=True)
-    best = np.full(len(fibers), np.inf)
-    np.minimum.at(best, inverse.reshape(-1), lens)
-    return fibers, best
+def _fiber_minima(chars: np.ndarray, lens: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct character rows (entries in Z_p), in lexicographic order, and the
+    minimal length over each one's fiber.
+
+    Each row is packed into int64 words of ⌊63/b⌋ columns at b = (p-1).bit_length()
+    bits per column, most significant column first. One lexsort of the words
+    orders the rows lexicographically, a fiber starts wherever the words
+    change, and np.minimum.reduceat takes each fiber's minimum.
+    """
+    if len(chars) == 0:
+        return chars, lens
+    bits = (p - 1).bit_length()
+    per_word = 63 // bits
+    words = []
+    for start in range(0, chars.shape[1], per_word):
+        block = chars[:, start:start + per_word].astype(np.int64)
+        shifts = bits * np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)
+        words.append((block << shifts).sum(axis=1))
+    order = np.lexsort(words[::-1])
+    keys = np.stack(words)[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new)
+    return chars[order[starts]], np.minimum.reduceat(lens[order], starts)
 
 
 def weyl_lip_norm(a: WeylElement, lam: float) -> float:
@@ -381,16 +407,17 @@ def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     rr, ss = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     ell_table = np.hypot(np.minimum(rr, p - rr) / p, np.minimum(ss, p - ss) / p)
 
+    char_dtype = np.min_scalar_type(p - 1)
     chunks = []
     for G in _enumerate_group(p, 2 * W):
         r = G[:, 0::2]
         s = G[:, 1::2]
         lens = (ell_table[r, s] * site_weights[None, :]).sum(axis=1)
-        chars = ((G @ E.T) % p).astype(np.uint8)
+        chars = ((G @ E.T) % p).astype(char_dtype)
         nonzero = chars.any(axis=1)
-        chunks.append(_fiber_minima(chars[nonzero], lens[nonzero]))
+        chunks.append(_fiber_minima(chars[nonzero], lens[nonzero], p))
     fibers, ell_min = _fiber_minima(np.concatenate([f for f, _ in chunks]),
-                                    np.concatenate([b for _, b in chunks]))
+                                    np.concatenate([b for _, b in chunks]), p)
 
     rho = np.exp(2j * np.pi / p)
     monos = np.stack([weyl_monomial(w, exps).matrix for exps, _ in support])

@@ -238,6 +238,73 @@ def test_file_flags_are_recorded_as_paths():
                                         "element_out"}
 
 
+def test_header_records_sha256_of_the_files_read(tmp_path, monkeypatch):
+    # the inputs get a digest, the written --element-out does not
+    import hashlib
+
+    from qmetric import nctorus
+    from qmetric.cli import build_parser
+
+    assert build_parser().input_keys == {"points", "matrix", "vectors", "element"}
+    monkeypatch.chdir(tmp_path)
+    poly = nctorus.TwistedPolynomial(nctorus.PhaseMatrix.two_torus(0.25), {(1, 0): 1.0})
+    Path("elem.json").write_text(nctorus.polynomial_to_json(poly))
+    assert run(["torus-dim", "--n-max", 2, "--element", "elem.json",
+                "--element-out", "smoothed.json", "--out", "td.csv"]) == 0
+    digest = hashlib.sha256(Path("elem.json").read_bytes()).hexdigest()
+    lines = Path("td.csv").read_text().splitlines()
+    assert f'# input-sha256: {{"element":"{digest}"}}' in lines
+    # a run that reads no file has no digest line
+    assert run(["shift-entropy", "--n-max", 2, "--out", "se.csv"]) == 0
+    assert not any(l.startswith("# input-sha256") for l in Path("se.csv").read_text().splitlines())
+
+
+def test_rerun_refuses_a_changed_input(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("grid.csv", np.linspace(0.0, 1.0, 40).reshape(-1, 1), delimiter=",")
+    assert run(["kolmogorov", "--points", "grid.csv", "--delta-grid", "0.25:0.03125:4",
+                "--out", "nets.csv"]) == 0
+    assert run(["rerun", "nets.csv", "--out", "same.csv"]) == 0
+    assert Path("nets.csv").read_bytes() == Path("same.csv").read_bytes()
+    # the same points written differently are a different file
+    np.savetxt("grid.csv", np.linspace(0.0, 1.0, 40).reshape(-1, 1), delimiter=",", fmt="%.6f")
+    capsys.readouterr()
+    assert run(["rerun", "nets.csv", "--out", "again.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "grid.csv" in err and "sha256" in err
+    assert not Path("again.csv").exists()
+
+
+def test_rerun_of_a_header_without_digests(tmp_path, monkeypatch):
+    # a header written before digests were recorded reruns as before, and the
+    # rerun records the digest
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("grid.csv", np.linspace(0.0, 1.0, 40).reshape(-1, 1), delimiter=",")
+    assert run(["kolmogorov", "--points", "grid.csv", "--delta-grid", "0.25:0.03125:4",
+                "--out", "nets.csv"]) == 0
+    old = [l for l in Path("nets.csv").read_text().splitlines(keepends=True)
+           if not l.startswith("# input-sha256")]
+    Path("old.csv").write_text("".join(old))
+    np.savetxt("grid.csv", np.linspace(0.0, 1.0, 40).reshape(-1, 1), delimiter=",", fmt="%.6f")
+    assert run(["rerun", "old.csv", "--out", "again.csv"]) == 0
+    assert body_of(Path("again.csv")) == body_of(Path("old.csv"))
+    assert any(l.startswith("# input-sha256") for l in Path("again.csv").read_text().splitlines())
+
+
+@pytest.mark.parametrize("header", [
+    "# config-json: {not json\n",
+    '# config-json: ["shift-entropy"]\n',
+    '# config-json: {"command":"shift-entropy","delta":0.5,"n_max":2,"p":2}\n'
+    '# input-sha256: ["grid.csv"]\n',
+])
+def test_rerun_rejects_malformed_header_lines(tmp_path, capsys, header):
+    src = tmp_path / "x.csv"
+    src.write_text(header)
+    assert run(["rerun", src, "--out", tmp_path / "y.csv"]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+
+
 def test_config_keys_are_the_parser_flags(tmp_path, monkeypatch):
     # an experiment's header echoes every flag it has except those saying
     # where and how it writes, so a rerun sees the whole configuration

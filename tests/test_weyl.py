@@ -36,6 +36,39 @@ def test_roots_of_unity_order():
     assert np.abs(np.linalg.matrix_power(v, 3) - np.eye(3)).max() < 1e-12
 
 
+def stacked_site_monomials(p):
+    """u^i v^j for all (i, j) as one (p, p, p, p) stack, built by the iterated
+    products that weyl_monomial's per-site factors must reproduce bit for bit."""
+    u, v = weyl.clock_shift(p)
+    out = np.empty((p, p, p, p), dtype=np.complex128)
+    ui = np.eye(p, dtype=np.complex128)
+    for i in range(p):
+        vj = np.eye(p, dtype=np.complex128)
+        for j in range(p):
+            out[i, j] = ui @ vj
+            vj = vj @ v
+        ui = ui @ u
+    return out
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_monomials_bit_identical_to_the_stacked_products(p):
+    stack = stacked_site_monomials(p)
+    w = weyl.WeylWindow(p, 0, 1)
+    for exps in weyl.weyl_unitary_family(w):
+        want = np.kron(np.kron([[1.0 + 0j]], stack[exps[0]]), stack[exps[1]])
+        assert np.array_equal(weyl.weyl_monomial(w, exps).matrix, want)
+
+
+def test_lip_norm_one_site_p257():
+    # characters reach 256, so they need more than a byte; the site monomial
+    # is built without the p^4 stack of every u^i v^j
+    w = weyl.WeylWindow(257, 0, 0)
+    a = weyl.weyl_monomial(w, [(1, 0)])
+    assert weyl.weyl_lip_norm(a, 0.5) == pytest.approx(
+        weyl.monomial_lip_norm(w, [(1, 0)], 0.5), rel=1e-12)
+
+
 def test_monomial_identity_and_tensor():
     w = weyl.WeylWindow(2, 0, 1)
     ident = weyl.weyl_monomial(w, [(0, 0), (0, 0)])
@@ -111,6 +144,64 @@ def test_conditional_expectation_group_average_oracle():
     avg /= 4.0
     e0 = weyl.conditional_expectation(a, 0)
     assert np.abs(e0.matrix - avg).max() < 1e-10
+
+
+def expectation_by_coefficients(a, n):
+    """E_n the long way: expand, drop every coefficient with a nontrivial
+    exponent outside [-n, n], reconstruct."""
+    w = a.window
+    kept = {exps: c for exps, c in weyl.weyl_expand(a).data.items()
+            if all(pair == (0, 0) for site, pair in zip(w.sites, exps) if abs(site) > n)}
+    return weyl.reconstruct(weyl.WeylCoefficients(w, kept))
+
+
+@st.composite
+def expectation_cases(draw):
+    """A random dense element on a window of p ∈ {2, 3, 4}, with or without
+    site 0, an n whose [-n, n] meets the window (and may cover it), and two
+    random elements b, c supported in [-n, n]."""
+    p = draw(st.sampled_from([2, 3, 4]))
+    n_sites = draw(st.integers(1, {2: 4, 3: 3, 4: 2}[p]))
+    lo = draw(st.integers(-3, 2))
+    w = weyl.WeylWindow(p, lo, lo + n_sites - 1)
+    nearest = min(abs(k) for k in w.sites)
+    n = draw(st.integers(nearest, nearest + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_element(w, rng)
+    inner = weyl.WeylWindow(p, max(w.lo, -n), min(w.hi, n))
+    b, c = (weyl.embed(random_element(inner, rng), w) for _ in range(2))
+    return a, n, b, c
+
+
+def max_entry(a):
+    return float(np.abs(a.matrix).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(expectation_cases())
+def test_conditional_expectation_properties(case):
+    a, n, b, c = case
+    w = a.window
+    e = weyl.conditional_expectation(a, n)
+    assert e.window == w
+    tol = 1e-12 * max_entry(a)
+    assert np.abs(e.matrix - expectation_by_coefficients(a, n).matrix).max() <= tol
+    # idempotent and unital
+    assert np.abs(weyl.conditional_expectation(e, n).matrix - e.matrix).max() <= tol
+    one = weyl.WeylElement(w, np.eye(w.dim))
+    assert np.array_equal(weyl.conditional_expectation(one, n).matrix, one.matrix)
+    # a bimodule map over the elements supported in [-n, n]
+    bac = weyl.conditional_expectation(b * a * c, n)
+    tol_bac = 1e-12 * max_entry(b) * max_entry(a) * max_entry(c) * w.dim**2
+    assert np.abs(bac.matrix - (b * e * c).matrix).max() <= tol_bac
+    # trace-preserving, *-preserving, contractive
+    assert abs(weyl.trace(e) - weyl.trace(a)) <= tol
+    assert np.abs(weyl.conditional_expectation(a.adjoint(), n).matrix
+                  - e.adjoint().matrix).max() <= tol
+    assert e.norm() <= a.norm() * (1 + 1e-12)
+    # nothing to kill once [-n, n] covers the window
+    if -n <= w.lo and w.hi <= n:
+        assert e is a
 
 
 def test_group_length_closed_forms():
@@ -306,23 +397,33 @@ def test_bad_lambda_rejected():
         weyl.group_length(weyl.GroupElement(a.window, ((1, 0),)), 0.0)
 
 
+def brute_force_lip(a, lam):
+    """sup over g ≠ e of ‖γ_g(a) - a‖ / ℓ_λ(g): every group element acts by
+    conjugation and the operator-norm ratio is taken directly."""
+    w = a.window
+    best = 0.0
+    for pairs in itertools.product(itertools.product(range(w.p), repeat=2), repeat=w.n_sites):
+        g = weyl.GroupElement(w, pairs)
+        if g.is_identity:
+            continue
+        num = operator_norm(weyl.weyl_action(g, a).matrix - a.matrix)
+        best = max(best, num / weyl.group_length(g, lam))
+    return best
+
+
 def test_lip_norm_against_per_element_brute_force():
-    # independent oracle: loop every group element, act by conjugation,
-    # take the operator norm ratio directly
+    # independent oracle on random dense (so full-support) elements: p = 4 and
+    # p = 6 windows, and full supports of 255 (p = 2, W = 4) and 80 (p = 3, W = 2)
+    # nontrivial monomials
     rng = np.random.default_rng(77)
-    w = weyl.WeylWindow(2, 0, 1)
     lam = 0.45
-    for _ in range(3):
-        a = random_element(w, rng)
-        brute = 0.0
-        for pairs in itertools.product(itertools.product(range(2), repeat=2), repeat=2):
-            g = weyl.GroupElement(w, pairs)
-            if g.is_identity:
-                continue
-            moved = weyl.weyl_action(g, a)
-            num = operator_norm(moved.matrix - a.matrix)
-            brute = max(brute, num / weyl.group_length(g, lam))
-        assert weyl.weyl_lip_norm(a, lam) == pytest.approx(brute, rel=1e-9)
+    for (p, lo, hi), count in [((2, 0, 1), 3), ((4, -1, 0), 2), ((6, 0, 0), 2), ((6, 2, 2), 1),
+                               ((2, -2, 1), 1), ((3, 0, 1), 1)]:
+        w = weyl.WeylWindow(p, lo, hi)
+        for _ in range(count):
+            a = random_element(w, rng)
+            assert len(weyl.weyl_expand(a).data) == p ** (2 * w.n_sites)
+            assert weyl.weyl_lip_norm(a, lam) == pytest.approx(brute_force_lip(a, lam), rel=1e-9)
 
 
 def test_expand_roundtrip_p5():
@@ -468,3 +569,33 @@ def test_lip_norm_is_homogeneous(log_modulus, turn):
     assert weyl.weyl_lip_norm(scaled, 0.5) == pytest.approx(
         abs(c) * weyl.weyl_lip_norm(a, 0.5), rel=1e-9
     )
+
+
+def fiber_minima_oracle(chars, lens):
+    fibers, inverse = np.unique(chars, axis=0, return_inverse=True)
+    best = np.full(len(fibers), np.inf)
+    np.minimum.at(best, inverse.reshape(-1), lens)
+    return fibers, best
+
+
+# p = 2 and p = 3 with more columns than one 63-bit word holds (63 and 31)
+@pytest.mark.parametrize("p, k", [(2, 5), (2, 130), (3, 4), (3, 70), (4, 9), (6, 12), (7, 3),
+                                  (7, 25), (257, 2), (257, 15)])
+def test_fiber_minima_against_unique_rows(p, k):
+    rng = np.random.default_rng(p * 1000 + k)
+    dtype = np.min_scalar_type(p - 1)
+    pool = rng.integers(0, p, size=(40, k)).astype(dtype)
+    # rows that differ only in the last column, and the extreme rows
+    pool[1] = pool[0]
+    pool[1, -1] = (pool[0, -1] + 1) % p
+    pool[2] = p - 1
+    pool[3] = 0
+    chars = pool[rng.integers(0, len(pool), size=600)]
+    lens = rng.choice([0.125, 0.25, 0.5, 1.0], size=600)  # many ties
+    fibers, best = weyl._fiber_minima(chars, lens, p)
+    want_fibers, want_best = fiber_minima_oracle(chars, lens)
+    assert fibers.dtype == dtype
+    assert np.array_equal(fibers, want_fibers)
+    assert np.array_equal(best, want_best)
+    empty_fibers, empty_best = weyl._fiber_minima(chars[:0], lens[:0], p)
+    assert empty_fibers.shape == (0, k) and empty_best.shape == (0,)
