@@ -633,12 +633,16 @@ def product_set(omega, alpha, n: int):
     """All ordered products a_0 α(a_1) ⋯ α^{n-1}(a_{n-1}) for a_i in Ω.
 
     Layer j is α applied to layer j−1. If every layer is made of twisted
-    monomials, exponents add as packed lattice keys (so p <= 4), reordering
-    phases go into the coefficient, and the first product per exponent over
-    (kept product, layer monomial) pairs is kept; pairs come in batches of at
-    most _MERGE_BUDGET, each followed by a product_set cap check. Other
-    inputs take the dense path, capped at |Ω|^n elements; Weyl elements are
-    deduplicated by coefficient support.
+    monomials, exponents add as packed lattice keys (so p <= 4): once the
+    box of the sums is range-checked, a candidate key is a kept product's key
+    translated by a layer monomial's packed shift, as in minkowski_sum.
+    Reordering phases go into the coefficient, and the first product per
+    exponent over (kept product, layer monomial) pairs is kept; pairs come in
+    batches of at most _MERGE_BUDGET, each followed by a product_set cap
+    check. The output monomials are built in one batch from these checked
+    arrays, without the validating constructor. Other inputs take the dense
+    path, capped at |Ω|^n elements; Weyl elements are deduplicated by
+    coefficient support.
     """
     omega = list(omega)
     if n < 1:
@@ -655,14 +659,19 @@ def product_set(omega, alpha, n: int):
         first = np.sort(np.unique(_pack(keys, p), return_index=True)[1])
         keys, coeffs = keys[first], coeffs[first]
         check_cap("product_set", len(keys), "product set")
+        origin = _pack(np.zeros((1, p), dtype=np.int64), p)
         for layer in layers[1:]:
             k2, c2 = _monomial_arrays(layer, p)
+            # inside the box's range a sum of exponents is one add of packed keys
+            _check_range((keys.min(axis=0) + k2.min(axis=0)).tolist(),
+                         (keys.max(axis=0) + k2.max(axis=0)).tolist(), p)
+            packed, shifts = _pack(keys, p), _pack(k2, p) - origin
             rows = max(1, _MERGE_BUDGET // len(k2))
             seen = np.zeros(0, dtype=np.uint64)
             new_keys, new_coeffs = [], []
             for start in range(0, len(keys), rows):
                 k1, c1 = keys[start:start + rows], coeffs[start:start + rows]
-                cand = _pack((k1[:, None] + k2[None]).reshape(-1, p), p)
+                cand = (packed[start:start + rows, None] + shifts[None]).ravel()
                 uniq, first = np.unique(cand, return_index=True)
                 first = np.sort(first[~np.isin(uniq, seen, assume_unique=True)])
                 seen = _sorted_unique(np.concatenate([seen, uniq]))
@@ -673,8 +682,7 @@ def product_set(omega, alpha, n: int):
                 new_coeffs.append(_cmul(_cmul(c1[i], c2[j]), twist))
             keys, coeffs = np.concatenate(new_keys), np.concatenate(new_coeffs)
         order = np.lexsort(keys.T[::-1])
-        return [TwistedPolynomial.monomial(phase, k, c)
-                for k, c in zip(keys[order].tolist(), coeffs[order].tolist())]
+        return TwistedPolynomial._monomials(phase, keys[order], coeffs[order])
 
     check_cap("product_set", len(omega) ** n, "dense product set")
     products = list(omega)

@@ -119,7 +119,12 @@ class TwistedPolynomial:
             if len(k) != phase.p:
                 raise PreconditionError(f"exponent {k} has wrong length for p={phase.p}")
             c = complex(c)
-            mod = abs(c)
+            try:
+                mod = abs(c)
+            except OverflowError:  # finite parts whose modulus leaves the float range
+                mod = inf
+            if not mod < inf:
+                raise PreconditionError(f"coefficient {c} of {k} has no finite modulus")
             if mod > hi:
                 hi = mod
             if mod < lo:
@@ -129,6 +134,21 @@ class TwistedPolynomial:
         if lo <= thresh:
             kept = {k: c for k, c in kept.items() if abs(c) > thresh}
         self.coeffs = kept
+
+    @classmethod
+    def _monomials(cls, phase: PhaseMatrix, keys: np.ndarray,
+                   coeffs: np.ndarray) -> list["TwistedPolynomial"]:
+        """One monomial per row of (N, p) int exponents and N complex coefficients,
+        unchecked but for finiteness; a zero coefficient gives the empty polynomial."""
+        if not np.isfinite(np.abs(coeffs)).all():
+            raise PreconditionError("monomial coefficients must have finite moduli")
+        out = []
+        for k, c in zip(map(tuple, keys.tolist()), coeffs.tolist()):
+            a = object.__new__(cls)
+            a.phase = phase
+            a.coeffs = {k: c} if c else {}
+            out.append(a)
+        return out
 
     @classmethod
     def monomial(cls, phase: PhaseMatrix, k, coeff: complex = 1.0) -> "TwistedPolynomial":

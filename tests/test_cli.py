@@ -172,6 +172,19 @@ def test_torus_dim_element_io(tmp_path):
     assert smoothed.coeffs[(1, 0)] == pytest.approx(1.0 - 1.0 / 5.0)
 
 
+@pytest.mark.parametrize("bad", ["Infinity, 0.0", "1.5e308, 1.5e308"])
+def test_torus_dim_rejects_non_finite_element(tmp_path, bad):
+    # an Infinity coefficient used to exit 0 and write an empty smoothed element,
+    # a finite one beyond the float range to die with a traceback
+    src = tmp_path / "elem.json"
+    src.write_text('{"p": 2, "theta": [[0.0, 0.25], [0.75, 0.0]], "coefficients": '
+                   f'[[[1, 0], 1.0, 0.0], [[0, 1], {bad}]]}}')
+    smoothed = tmp_path / "smoothed.json"
+    assert run(["torus-dim", "--n-max", 3, "--element", src, "--element-out", smoothed,
+                "--out", tmp_path / "td.csv"]) == 2
+    assert not smoothed.exists()
+
+
 def test_more_error_paths(tmp_path):
     assert run(["toral-entropy", "--T", "a,b,c,d", "--out", tmp_path / "x"]) == 2
     assert run(["kolmogorov", "--points", tmp_path / "missing.csv",

@@ -337,17 +337,33 @@ def test_product_set_symbolic_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         entropy.product_set(omega, alpha, 3)
     # one kept product per batch: the last layer stops long before its 37 batches
-    packed = []
-    pack = entropy._pack
-    monkeypatch.setattr(entropy, "_pack", lambda pts, p: packed.append(len(pts)) or pack(pts, p))
+    # (each batch merges its keys into the seen set once)
+    merged = []
+    merge = entropy._sorted_unique
+    monkeypatch.setattr(entropy, "_sorted_unique", lambda keys: merged.append(len(keys)) or merge(keys))
     monkeypatch.setattr(entropy, "_MERGE_BUDGET", 9)
     monkeypatch.setenv("QMETRIC_CAP", f"product_set={counts[1]}")
     with pytest.raises(ResourceLimitError):
         entropy.product_set(omega, alpha, 3)
-    assert len(packed) < 1 + counts[0] + counts[1]
+    assert len(merged) < counts[0] + counts[1]
     monkeypatch.setenv("QMETRIC_CAP", "product_set=8")
     with pytest.raises(ResourceLimitError):
         entropy.product_set(omega, alpha, 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_product_set_rejects_overflowing_coefficients():
+    # coefficients near 1e200 are finite, their products are not: the product
+    # set raises rather than dropping those monomials to zero
+    ph = nctorus.PhaseMatrix.two_torus(0.25)
+    big = [nctorus.TwistedPolynomial.monomial(ph, (1, 0), 1e200),
+           nctorus.TwistedPolynomial.monomial(ph, (0, 1), 1e200j)]
+    assert [a.coeffs for a in entropy.product_set(big, lambda a: a, 1)] == \
+        [{(0, 1): 1e200j}, {(1, 0): 1e200}]
+    with pytest.raises(PreconditionError):
+        entropy.product_set(big, lambda a: a, 2)
+    fine = [nctorus.TwistedPolynomial.monomial(ph, (1, 0), 1e150)]
+    assert entropy.product_set(fine, lambda a: a, 2)[0].coeffs == {(2, 0): (1e150 + 0j) ** 2}
 
 
 def test_product_set_rank_and_field_limits():

@@ -42,6 +42,42 @@ def test_pruning_is_relative_to_the_largest_coefficient(quarter):
     assert TP(quarter, {(1, 0): 0.0}).support == []
 
 
+@pytest.mark.parametrize("bad", [np.inf, complex(0.0, -np.inf), complex(np.nan, 0.0),
+                                 complex(1.5e308, 1.5e308)])
+def test_coefficients_without_finite_modulus_are_rejected(quarter, bad):
+    # an infinite coefficient used to raise the threshold to inf and drop every term
+    with pytest.raises(PreconditionError):
+        TP(quarter, {(1, 0): 1.0, (0, 1): bad})
+    with pytest.raises(PreconditionError):
+        TP._monomials(quarter, np.array([[1, 0], [0, 1]]), np.array([1.0, bad]))
+
+
+# finite parts whose moduli stay in the float range: zeros of both signs,
+# subnormals, and parts near the largest float
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308]),
+                   st.floats(-1e308, 1e308))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 4), data=st.data())
+def test_monomial_batch_equals_validating_constructor(p, data):
+    n = data.draw(st.integers(0, 12))
+    rows = data.draw(st.lists(st.tuples(st.lists(st.integers(-2**62, 2**62), min_size=p,
+                                                 max_size=p), _parts, _parts),
+                              min_size=n, max_size=n))
+    phase = nctorus.PhaseMatrix(p, np.zeros((p, p)))
+    keys = np.array([k for k, _, _ in rows], dtype=np.int64).reshape(n, p)
+    coeffs = np.array([complex(re, im) for _, re, im in rows], dtype=np.complex128)
+    got = TP._monomials(phase, keys, coeffs)
+    assert len(got) == n
+    for a, (k, re, im) in zip(got, rows):
+        expect = TP.monomial(phase, k, complex(re, im))
+        assert a.phase is phase and a.coeffs == expect.coeffs
+        for (ka, ca), (_, ce) in zip(a.coeffs.items(), expect.coeffs.items()):
+            assert all(type(x) is int for x in ka) and type(ca) is complex
+            assert np.signbit([ca.real, ca.imag]).tolist() == np.signbit([ce.real, ce.imag]).tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-20.0, 20.0), st.floats(0.0, 2.0 * np.pi))
 def test_scaling_keeps_the_support(seed, log10_mod, angle):
