@@ -63,7 +63,7 @@ def as_family(vectors) -> np.ndarray:
 
 
 def dim_lower_spectral(vectors, delta: float, strict: bool = True) -> int:
-    if delta <= 0:
+    if not delta > 0:
         raise PreconditionError("delta must be positive")
     v = as_family(vectors)
     m = v.shape[1]
@@ -79,7 +79,7 @@ def dim_lower_spectral(vectors, delta: float, strict: bool = True) -> int:
 def dim_exact_orthonormal(m: int, delta: float, strict: bool = True) -> int:
     if m < 1:
         raise PreconditionError("family size must be >= 1")
-    if delta <= 0:
+    if not delta > 0:
         raise PreconditionError("delta must be positive")
     # the passing r are those from some point on; step there from (m - r)/m = δ²
     r = int(min(max(m * (1.0 - delta * delta), 0.0), m))
@@ -96,7 +96,7 @@ def dim_upper_svd(vectors, delta: float, strict: bool = True) -> tuple[int, np.n
     Returns (r, witness) where witness is an orthonormal d x r basis.
     Always an upper bound for the true D.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise PreconditionError("delta must be positive")
     v = as_family(vectors)
     m = v.shape[1]
@@ -170,12 +170,20 @@ def brackets_to_csv_rows(brackets) -> list[str]:
 
 def family_from_json(text: str) -> np.ndarray:
     """JSON family: list of vectors, each a list of [re, im] pairs."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise PreconditionError(f"vector family is not JSON: {exc}") from exc
     if not isinstance(obj, list) or not obj:
         raise PreconditionError("vector family JSON must be a nonempty list")
     cols = []
-    for vec in obj:
-        cols.append([complex(re, im) for re, im in vec])
+    for i, vec in enumerate(obj):
+        try:
+            cols.append([complex(re, im) for re, im in vec])
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"vector {i} is not a list of [re, im] pairs: {exc}") from exc
+    if len({len(c) for c in cols}) != 1:
+        raise PreconditionError("vectors of the family must have one length")
     v = np.array(cols, dtype=np.complex128).T
     return as_family(v)
 

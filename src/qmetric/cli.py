@@ -465,7 +465,7 @@ def main(argv=None) -> int:
     except QMetricError as exc:
         print(f"qmetric: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that cannot be opened or decoded
         print(f"qmetric: error: {exc}", file=sys.stderr)
         return 2
     return 0

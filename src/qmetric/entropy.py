@@ -27,13 +27,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 
 from .approxdim import dim_exact_orthonormal
 from .caps import check_cap
 from .errors import NumericalError, PreconditionError, ResourceLimitError
-from .linalg import as_unimodular
+from .linalg import as_unimodular, int_matmul
 from .nctorus import TwistedPolynomial, reorder_exponent
 from .weyl import WeylElement, weyl_expand
 
@@ -43,7 +44,6 @@ __all__ = [
     "EntropyEstimate",
     "minkowski_sum",
     "lattice_orbit_card",
-    "literal_orbit_set",
     "eigen_entropy",
     "char_poly_int",
     "box_bound_card",
@@ -160,27 +160,6 @@ class LatticeSet:
     def points(self) -> np.ndarray:
         return _unpack(self.keys, self.p)
 
-    def linear_image(self, T) -> "LatticeSet":
-        """{Tx : x in self}; aborts when the image's box leaves the packable range.
-
-        The box is bounded in exact integers before the multiply, which
-        would otherwise wrap silently. The multiply runs modulo 2^64 in
-        uint64, which is exact once the image is known to lie in the box.
-        """
-        T = np.asarray(T)
-        if T.shape != (self.p, self.p):
-            raise PreconditionError("matrix shape does not match lattice dimension")
-        rows = [[int(x) for x in row] for row in T.tolist()]
-        if not self.cardinality:
-            return self
-        corners = [[sorted((t * lo, t * hi)) for t, lo, hi in zip(row, self.lo, self.hi)]
-                   for row in rows]
-        _check_range([sum(c[0] for c in row) for row in corners],
-                     [sum(c[1] for c in row) for row in corners], self.p)
-        T_mod = np.array([[t % (1 << 64) for t in row] for row in rows], dtype=np.uint64)
-        image = (self.points().astype(np.uint64) @ T_mod.T).view(np.int64)
-        return LatticeSet.from_points(self.p, image)
-
     def __contains__(self, point) -> bool:
         if len(point) != self.p:
             raise PreconditionError(f"point {point} has wrong length for p={self.p}")
@@ -266,8 +245,7 @@ def lattice_orbit_card(T, m: int, n: int) -> GrowthSeries:
     Tj = np.eye(p, dtype=np.int64).tolist()
     for _ in range(1, n):
         # exact integer powers, range-checked before they become int64 arrays
-        Tj = [[sum(T_int[r][k] * Tj[k][c] for k in range(p)) for c in range(p)]
-              for r in range(p)]
+        Tj = int_matmul(T_int, Tj)
         reach = m * max(abs(x) for row in Tj for x in row)
         _check_range((-reach,), (reach,), p)
         for i in range(p):
@@ -277,51 +255,23 @@ def lattice_orbit_card(T, m: int, n: int) -> GrowthSeries:
     return GrowthSeries(tuple(counts))
 
 
-def literal_orbit_set(T, m: int, n: int) -> LatticeSet:
-    """K_m + ζ_T(K_m) + ... + ζ_T^{n-1}(K_m) summed literally (cross-check oracle)."""
-    T = as_unimodular(T)
-    p = T.shape[0]
-    K = LatticeSet.cube(p, m)
-    term = K
-    total = K
-    for _ in range(1, n):
-        term = term.linear_image(T)
-        total = minkowski_sum(total, term)
-    return total
-
-
 def char_poly_int(T) -> list[int]:
     """Monic characteristic polynomial coefficients of an integer matrix,
     highest degree first, by the Faddeev-LeVerrier recursion in exact
-    rational arithmetic."""
-    T = np.asarray(T)
-    n = T.shape[0]
-    A = [[Fraction(int(x)) for x in row] for row in T]
-
-    def matmul(X, Y):
-        return [
-            [sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-        ]
-
-    def trace_of(X):
-        return sum(X[i][i] for i in range(n))
-
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]
-    M = eye
+    integers (each trace it divides by k is a multiple of k)."""
+    A = [[int(x) for x in row] for row in np.asarray(T).tolist()]
+    n = len(A)
+    coeffs = [1]
     AM = A
     for k in range(1, n + 1):
-        c = -trace_of(AM) / k
+        c, rem = divmod(-sum(AM[i][i] for i in range(n)), k)
+        if rem:
+            raise NumericalError("characteristic polynomial must be integral")
         coeffs.append(c)
         if k < n:
-            M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-            AM = matmul(A, M)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise NumericalError("characteristic polynomial must be integral")
-        out.append(int(c))
-    return out
+            AM = int_matmul(A, [[x + (c if i == j else 0) for j, x in enumerate(row)]
+                                for i, row in enumerate(AM)])
+    return coeffs
 
 
 def _poly_divmod(a, b):
@@ -372,19 +322,6 @@ def _poly_roots(coeffs) -> np.ndarray:
     return np.roots(np.array(coeffs, dtype=float))
 
 
-def _eigenvalues(T) -> np.ndarray:
-    # np.roots smears repeated roots, so each factor it sees is squarefree
-    return np.concatenate([_poly_roots(f) for f in _radical_factors(char_poly_int(T))])
-
-
-def eigen_entropy(T) -> float:
-    """Σ log|λ_i| over eigenvalues of T with |λ_i| >= 1 (spectral multiplicity)."""
-    T = as_unimodular(T)
-    lam = _eigenvalues(T)
-    mods = np.abs(lam)
-    return float(np.sum(np.log(mods[mods >= 1.0 - 1e-9])))
-
-
 # relative size under which a singular value or an echelon entry counts as zero
 _ZERO_TOL = 1e-9
 
@@ -404,13 +341,24 @@ def _spectrum(factors) -> list[tuple[complex, int]]:
     return out
 
 
+def eigen_entropy(T) -> float:
+    """Σ log|λ_i| over eigenvalues of T with |λ_i| >= 1 (spectral multiplicity)."""
+    T = as_unimodular(T)
+    total = 0.0
+    for lam, k in _spectrum(_radical_factors(char_poly_int(T))):
+        if abs(lam) >= 1.0 - 1e-9:
+            # _spectrum lists one eigenvalue of each conjugate pair
+            total += k * (1 if lam.imag == 0 else 2) * float(np.log(abs(lam)))
+    return total
+
+
 def _annihilates(coeffs, rows) -> bool:
     """Whether coeffs(T) is the zero matrix, by Horner's rule in exact integers."""
-    n = len(rows)
-    X = [[0] * n for _ in range(n)]
+    X = [[0] * len(rows) for _ in rows]
     for c in coeffs:
-        X = [[sum(X[i][k] * rows[k][j] for k in range(n)) + (c if i == j else 0)
-              for j in range(n)] for i in range(n)]
+        X = int_matmul(X, rows)
+        for i, row in enumerate(X):
+            row[i] += c
     return not any(x for row in X for x in row)
 
 
@@ -553,8 +501,8 @@ def box_bound_card(T, m: int, n: int, delta_pad: float = 0.0) -> float:
     T = as_unimodular(T)
     if m < 1 or n < 1:
         raise PreconditionError("need m >= 1 and n >= 1")
-    if delta_pad < 0:
-        raise PreconditionError("delta_pad must be >= 0")
+    if not 0 <= delta_pad < inf:
+        raise PreconditionError("delta_pad must be finite and >= 0")
     p = T.shape[0]
     P, Pinv, A, blocks, defective = _real_block_basis(tuple(map(tuple, T.tolist())))
     if defective and delta_pad <= 0:

@@ -5,6 +5,9 @@ finite entries only. The operator norm is the largest singular value,
 computed from the full singular spectrum up to side 256 and by power
 iteration on ``m* m`` above that, falling back to the spectrum when the
 iteration has not converged within about the cost of one SVD.
+
+Integer matrices get exact helpers in Python ints: the product, the
+determinant and the unimodular check.
 """
 
 from __future__ import annotations
@@ -72,6 +75,12 @@ def operator_norm(m) -> float:
         if est is not None:
             return est
     return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def int_matmul(X, Y) -> list[list]:
+    """Exact product of matrices given as nested lists of Python ints or Fractions."""
+    cols = list(zip(*Y))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in X]
 
 
 def _int_det(rows) -> int:

@@ -21,6 +21,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class NetStatistics:
 
 def greedy_separated(space: FiniteMetricSpace, delta: float) -> list[int]:
     """Farthest-point maximal δ-separated set; start at 0, ties to lowest index."""
-    if delta <= 0:
+    if not delta > 0:
         raise PreconditionError("delta must be positive")
     chosen = [0]
     mind = space.dist[0].copy()
@@ -139,7 +140,7 @@ def _max_separated_exact(space: FiniteMetricSpace, delta: float) -> int:
 
 def greedy_spanning(space: FiniteMetricSpace, delta: float) -> list[int]:
     """Greedy set cover with closed δ-balls centered at points."""
-    if delta <= 0:
+    if not delta > 0:
         raise PreconditionError("delta must be positive")
     covered = np.zeros(space.n, dtype=bool)
     balls = space.dist <= delta
@@ -157,7 +158,7 @@ def greedy_spanning(space: FiniteMetricSpace, delta: float) -> list[int]:
 
 
 def net_statistics(space: FiniteMetricSpace, delta: float) -> NetStatistics:
-    if delta <= 0:
+    if not delta > 0:
         raise PreconditionError("delta must be positive")
     if delta >= space.diameter:
         return NetStatistics(delta, 1, 1, True)
@@ -191,7 +192,7 @@ def box_dimension(space: FiniteMetricSpace, deltas) -> BoxDimension:
     deltas = [float(d) for d in deltas]
     if len(deltas) < 3:
         raise PreconditionError("box dimension needs at least 3 grid points")
-    if any(d <= 0 for d in deltas):
+    if any(not d > 0 for d in deltas):
         raise PreconditionError("delta grid must be positive")
     stats = tuple(net_statistics(space, d) for d in deltas)
     if space.n == 1:
@@ -237,7 +238,7 @@ class KolmBundle:
 
 
 def kolm_unitaries(space: FiniteMetricSpace, delta: float) -> KolmBundle:
-    if delta <= 0:
+    if not delta > 0:
         raise PreconditionError("delta must be positive")
     E = greedy_separated(space, delta)
     r = len(E)
@@ -265,19 +266,26 @@ def parse_delta_grid(text: str) -> list[float]:
         a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise PreconditionError(f"bad delta grid {text!r}") from exc
-    if a <= 0 or b <= 0 or steps < 1:
-        raise PreconditionError("delta grid needs positive endpoints and steps >= 1")
+    if not (0 < a < inf and 0 < b < inf) or steps < 1:
+        raise PreconditionError("delta grid needs finite positive endpoints and steps >= 1")
     if steps == 1:
         return [a]
     return [float(x) for x in np.geomspace(a, b, steps)]
 
 
+def _load_csv(path) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise PreconditionError(f"{path} is not a CSV of numbers: {exc}") from exc
+
+
 def load_points_csv(path) -> np.ndarray:
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    pts = _load_csv(path)
     if pts.size == 0:
         raise PreconditionError(f"no points in {path}")
     return pts
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    return _load_csv(path)

@@ -10,9 +10,10 @@ phase(k, l) = Π_{i<j} ρ_ij^{k_j l_i}, validated against the rational-θ
 clock/shift matrix representation rather than trusted from derivation.
 
 The torus action γ_t(u_j) = e^{2πi t_j} u_j with length scaled by 2π gives
-L(u_j) = 1; lip_bounds returns certified (lower, upper) brackets that
-collapse to |k|_2 on monomials. Operator norms at irrational θ are never
-claimed exactly; consumers take brackets.
+L(u_j) = 1; lip_bounds returns certified (lower, upper) brackets whose
+lower end is the exact GNS-norm Lip seminorm and that collapse to |k|_2 on
+monomials. Operator norms at irrational θ are never claimed exactly;
+consumers take brackets.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .caps import check_cap
 from .errors import PreconditionError
-from .linalg import as_unimodular
+from .linalg import as_unimodular, operator_norm
 from . import weyl
 
 # a coefficient is dropped at or below this fraction of the largest modulus
@@ -260,65 +261,17 @@ def gns_vector(a: TwistedPolynomial, exponents: list[tuple[int, ...]]) -> np.nda
     return np.array([a.coeffs.get(tuple(k), 0.0) for k in exponents], dtype=np.complex128)
 
 
-def _kronecker_points(p: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy points on [0,1)^p (Kronecker sequence)."""
-    # generalized golden ratio: unique root > 1 of x^(p+1) = x + 1
-    phi = 1.5
-    for _ in range(80):
-        phi = (1.0 + phi) ** (1.0 / (p + 1))
-    alpha = np.array([(1.0 / phi) ** (j + 1) % 1.0 for j in range(p)])
-    idx = np.arange(1, count + 1)[:, None]
-    return np.mod(idx * alpha[None, :], 1.0)
-
-
-def torus_distance(t: np.ndarray) -> float:
-    """Euclidean distance of t to 0 on R^p/Z^p."""
-    r = np.mod(np.asarray(t, dtype=float), 1.0)
-    r = np.minimum(r, 1.0 - r)
-    return float(np.linalg.norm(r))
-
-
-def sampled_lip_lower(
-    a: TwistedPolynomial, n_radii: int = 25, n_lowdisc: int = 1000
-) -> float:
-    """Sampled lower bound sup_t ‖γ_t(a) - a‖_GNS / ℓ(t) over a fixed grid.
-
-    Valid because the C*-norm dominates the GNS norm. The grid takes
-    support directions k/|k|₂ at geometric radii 1e-4..1/4 plus a
-    deterministic low-discrepancy Kronecker set; the supremum is attained
-    in the limit t → 0 along support directions.
-    """
-    p = a.phase.p
-    ks = np.array([k for k in a.coeffs if any(k)], dtype=np.int64)
-    if ks.size == 0:
-        return 0.0
-    cs = np.array([a.coeffs[tuple(k)] for k in ks])
-    norms = np.linalg.norm(ks.astype(float), axis=1)
-    dirs = ks.astype(float) / norms[:, None]
-    radii = np.geomspace(1e-4, 0.25, n_radii)
-    ts = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, p)
-    ts = np.vstack([ts, _kronecker_points(p, n_lowdisc)])
-    lower = 0.0
-    abs2 = np.abs(cs) ** 2
-    for t in ts:
-        dist = torus_distance(t)
-        if dist < 1e-12:
-            continue
-        num = np.sqrt(np.sum(abs2 * 4.0 * np.sin(np.pi * (ks @ t)) ** 2))
-        lower = max(lower, float(num / (2.0 * np.pi * dist)))
-    return lower
-
-
-def lip_bounds(
-    a: TwistedPolynomial, n_radii: int = 25, n_lowdisc: int = 1000
-) -> tuple[float, float]:
+def lip_bounds(a: TwistedPolynomial) -> tuple[float, float]:
     """Certified bracket (lower, upper) for the torus-action Lip seminorm.
 
     upper = Σ |c_k| |k|₂ from the triangle inequality and
-    |e^{2πik·t} - 1| ≤ ℓ(t)|k|₂ with ℓ scaled by 2π. lower = the sampled
-    supremum of ‖γ_t(a) - a‖_GNS / ℓ(t). Supports with a single nonzero
-    exponent collapse to the exact value |c||k|₂ (the supremum along
-    t ∝ k equals the upper bound).
+    |e^{2πik·t} - 1| ≤ ℓ(t)|k|₂ with ℓ scaled by 2π. lower = σ_max(M), the
+    top singular value of the matrix M whose rows are |c_k|·k over the
+    nonzero exponents k: the GNS-norm Lip seminorm, which the C*-norm
+    dominates. It is exact: ‖γ_t(a) - a‖_GNS / ℓ(t) = √(Σ |c_k|² 4sin²(πk·t))
+    / (2π|t|) ≤ |Mt| / |t| for t nearest 0 in its class mod Z^p, and the
+    ratio tends to σ_max(M) along t = εv, v the top right singular vector,
+    as ε → 0. A single nonzero exponent gives lower = upper = |c||k|₂.
     """
     ks = np.array([k for k in a.coeffs if any(k)], dtype=np.int64)
     if ks.size == 0:
@@ -329,7 +282,7 @@ def lip_bounds(
     if len(ks) == 1:
         exact = float(abs(cs[0]) * norms[0])
         return exact, exact
-    lower = sampled_lip_lower(a, n_radii=n_radii, n_lowdisc=n_lowdisc)
+    lower = operator_norm(np.abs(cs)[:, None] * ks)
     return min(lower, upper), upper
 
 
@@ -535,9 +488,15 @@ def polynomial_to_jsonable(a: TwistedPolynomial) -> dict:
 
 
 def polynomial_from_jsonable(obj: dict) -> TwistedPolynomial:
-    phase = PhaseMatrix(int(obj["p"]), np.array(obj["theta"], dtype=float))
-    coeffs = {tuple(int(x) for x in k): complex(re, im) for k, re, im in obj["coefficients"]}
-    return TwistedPolynomial(phase, coeffs)
+    try:
+        p, theta = int(obj["p"]), np.array(obj["theta"], dtype=float)
+        coeffs = {tuple(int(x) for x in k): complex(re, im)
+                  for k, re, im in obj["coefficients"]}
+    except KeyError as exc:
+        raise PreconditionError(f"twisted-polynomial JSON lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed twisted-polynomial JSON: {exc}") from exc
+    return TwistedPolynomial(PhaseMatrix(p, theta), coeffs)
 
 
 def polynomial_to_json(a: TwistedPolynomial) -> str:
@@ -545,4 +504,8 @@ def polynomial_to_json(a: TwistedPolynomial) -> str:
 
 
 def polynomial_from_json(text: str) -> TwistedPolynomial:
-    return polynomial_from_jsonable(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise PreconditionError(f"twisted polynomial is not JSON: {exc}") from exc
+    return polynomial_from_jsonable(obj)

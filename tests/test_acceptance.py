@@ -227,13 +227,10 @@ def test_10_torus_lip_monomials():
         if k == (0, 0):
             continue
         target = float(np.linalg.norm(k))
-        lower = nctorus.sampled_lip_lower(nctorus.TwistedPolynomial.monomial(ph, k))
-        _, upper = nctorus.lip_bounds(nctorus.TwistedPolynomial.monomial(ph, k))
-        assert lower >= 0.99 * target
-        assert lower <= target * (1 + 1e-9)
-        assert upper >= target * (1 - 1e-12)
+        lower, upper = nctorus.lip_bounds(nctorus.TwistedPolynomial.monomial(ph, k))
+        assert lower == upper == pytest.approx(target, rel=1e-12, abs=0)
         done += 1
-    _report(10, "sampled Lip lower within 1% of |k|_2 and upper >= |k|_2, 50 monomials")
+    _report(10, "Lip bracket collapses to |k|_2 within 1e-12, 50 monomials")
 
 
 def test_11_uhf_dimension_experiment():

@@ -173,3 +173,20 @@ def test_family_json_roundtrip():
     fam = orthonormal_family(5, 3, 7)
     back = ad.family_from_json(ad.family_to_json(fam))
     assert np.abs(back - fam).max() < 1e-15
+
+
+@pytest.mark.parametrize("delta", [0.0, float("nan")])
+def test_delta_must_be_positive(delta):
+    fam = orthonormal_family(4, 3, 1)
+    for route in (ad.dim_lower_spectral, ad.dim_upper_svd):
+        with pytest.raises(PreconditionError):
+            route(fam, delta)
+    with pytest.raises(PreconditionError):
+        ad.dim_exact_orthonormal(3, delta)
+
+
+@pytest.mark.parametrize("text", ["[[[1.0, 0.0, 2.0]]]", "[[[1, 0]], [[1, 0], [0, 1]]]",
+                                  "[[1.0]]", "[[[1, \"a\"]]]", "not json"])
+def test_family_json_rejects_malformed_entries(text):
+    with pytest.raises(PreconditionError):
+        ad.family_from_json(text)

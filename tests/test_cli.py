@@ -193,6 +193,54 @@ def test_more_error_paths(tmp_path):
     assert run(["kolmogorov", "--delta-grid", "0.3:0.1:3", "--out", tmp_path / "w"]) == 2
 
 
+# argv, and whether a regression would run forever rather than fail
+BAD_INPUTS = {
+    "nan-delta-grid": (["kolmogorov", "--points", "grid.csv", "--delta-grid", "nan:0.1:3"], True),
+    "inf-delta-grid": (["kolmogorov", "--points", "grid.csv", "--delta-grid", "inf:0.1:3"], True),
+    "weyl-nan-delta": (["weyl-dim", "--delta", "nan"], False),
+    "torus-nan-delta": (["torus-dim", "--delta", "nan"], False),
+    "nan-delta-pad": (["lattice-growth", "--T", "2,1,1,1", "--delta-pad", "nan"], False),
+    "inf-delta-pad": (["lattice-growth", "--T", "2,1,1,1", "--delta-pad", "inf"], False),
+    "text-points": (["kolmogorov", "--points", "text.csv", "--delta-grid", "0.3:0.1:3"], False),
+    "text-matrix": (["kolmogorov", "--matrix", "text.csv", "--delta-grid", "0.3:0.1:3"], False),
+    "element-without-theta": (["torus-dim", "--element", "no_theta.json"], False),
+    "element-not-json": (["torus-dim", "--element", "text.csv"], False),
+    "element-not-utf8": (["torus-dim", "--element", "binary.json"], False),
+    "vectors-not-utf8": (["dim-bracket", "--vectors", "binary.json",
+                          "--delta-grid", "0.9:0.1:3"], False),
+    "three-number-pair": (["dim-bracket", "--vectors", "triple.json",
+                           "--delta-grid", "0.9:0.1:3"], False),
+}
+
+
+@pytest.mark.parametrize("argv, hangs", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_inputs_exit_2(tmp_path, monkeypatch, capsys, argv, hangs):
+    import os
+    import subprocess
+    import sys
+
+    import qmetric
+
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("grid.csv", np.random.default_rng(0).random((12, 2)), delimiter=",")
+    Path("text.csv").write_text("0.1,0.2\n0.3,abc\n")
+    Path("no_theta.json").write_text('{"p": 2, "coefficients": [[[1, 0], 1.0, 0.0]]}')
+    Path("triple.json").write_text("[[[1.0, 0.0, 2.0]]]")
+    Path("binary.json").write_bytes(b"\xff\xfe\x00")
+    argv = argv + ["--out", "x.csv"]
+    if hangs:
+        # in a child with a timeout, so that a regression fails instead of hanging
+        env = dict(os.environ, PYTHONPATH=str(Path(qmetric.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qmetric.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=30)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = run(argv), capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("qmetric: error: ") and "Traceback" not in err
+    assert not Path("x.csv").exists()
+
+
 def test_rerun_resolves_inputs_against_source_dir(tmp_path, monkeypatch):
     # relative paths in a header are relative to the header's file, so a
     # rerun from another directory reads the same input

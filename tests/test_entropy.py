@@ -25,15 +25,6 @@ def test_cube_and_contains():
         (1, 2) in k3
 
 
-def test_linear_image_preserves_cardinality():
-    k = entropy.LatticeSet.cube(2, 2)
-    image = k.linear_image(CAT)
-    assert image.cardinality == k.cardinality
-    assert set(map(tuple, image.points().tolist())) == {
-        (2 * x + y, x + y) for x, y in k.points().tolist()
-    }
-
-
 def test_minkowski_identity_and_cubes():
     k1 = entropy.LatticeSet.cube(2, 1)
     zero = entropy.LatticeSet.from_points(2, [[0, 0]])
@@ -45,7 +36,7 @@ def test_minkowski_identity_and_cubes():
 
 def test_minkowski_against_double_loop():
     k1 = entropy.LatticeSet.cube(2, 1)
-    zk1 = k1.linear_image(CAT)
+    zk1 = entropy.LatticeSet.from_points(2, k1.points() @ CAT.T)
     got = entropy.minkowski_sum(k1, zk1)
     brute = set()
     for a in k1.points():
@@ -67,15 +58,10 @@ def test_minkowski_cap(monkeypatch):
 
 
 def test_packing_overflow_aborts():
-    big = entropy.LatticeSet.from_points(3, [[1, 1, 1]])
     with pytest.raises(ResourceLimitError):
-        big.linear_image(40000 * np.eye(3, dtype=np.int64))
+        entropy.LatticeSet.from_points(3, [[40000, 1, 1]])
     with pytest.raises(ResourceLimitError):
         entropy.LatticeSet.from_points(2, [[2**31, 0]])
-    # 3 * 6148914691236517206 = 2^64 + 2 would wrap to 2 in an int64 multiply
-    with pytest.raises(ResourceLimitError):
-        entropy.LatticeSet.from_points(2, [[3, 0]]).linear_image(
-            [[6148914691236517206, 0], [0, 1]])
 
 
 def test_orbit_identity_matrix():
@@ -89,8 +75,7 @@ def test_orbit_recursion_matches_literal_sum():
     for T in (CAT, np.array([[1, 1], [0, 1]])):
         series = entropy.lattice_orbit_card(T, 1, 6)
         for n in (1, 2, 4, 6):
-            literal = entropy.literal_orbit_set(T, 1, n)
-            assert literal.cardinality == series.counts[n - 1]
+            assert len(oracle_orbit_set(T, 1, n)) == series.counts[n - 1]
 
 
 def test_growth_series_validation():
@@ -117,6 +102,14 @@ def test_eigen_entropy_values():
     for p in (3, 4):
         J = np.eye(p, dtype=np.int64) + np.eye(p, k=1, dtype=np.int64)
         assert entropy.eigen_entropy(J) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_eigen_entropy_pinned_bits():
+    # pinned to the last bit: a change in how the spectrum is summed shows here
+    pinned = {((2, 1), (1, 1)): 0.9624236501192069, ((3, 1), (2, 1)): 1.3169578969248166,
+              ((1, 1), (0, 1)): 0.0, ((0, 1, 0), (0, 0, 1), (1, 1, 0)): 0.2811995743229614}
+    for T, want in pinned.items():
+        assert entropy.eigen_entropy(np.array(T)) == want
 
 
 def test_eigen_entropy_power_law():
@@ -224,10 +217,9 @@ def test_product_set_toral_exponent_image():
     K = entropy.LatticeSet.cube(2, 1)
     omega = [nctorus.TwistedPolynomial.monomial(ph, k) for k in K.points()]
     out = entropy.product_set(omega, lambda a: nctorus.toral_map_apply(tm, a), 3)
-    expect = entropy.literal_orbit_set(CAT, 1, 3)
-    got = {a.support[0] for a in out}
-    assert got == set(map(tuple, expect.points()))
-    assert len(out) == expect.cardinality
+    expect = oracle_orbit_set(CAT, 1, 3)
+    assert {a.support[0] for a in out} == expect
+    assert len(out) == len(expect)
 
 
 def test_product_set_symbolic_matches_dense():

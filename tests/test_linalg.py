@@ -112,3 +112,16 @@ def test_unimodular_validation():
     ]:
         with pytest.raises(PreconditionError, match=message):
             linalg.as_unimodular(T)
+
+
+def test_int_matmul_is_exact():
+    from fractions import Fraction
+
+    # 2^62 entries overflow an int64 product; Python ints do not
+    X = [[2**62, 1], [0, -3]]
+    Y = [[5, 0], [7, 2**62]]
+    assert linalg.int_matmul(X, Y) == [[5 * 2**62 + 7, 2**62], [-21, -3 * 2**62]]
+    assert linalg.int_matmul([[Fraction(1, 3), 1]], [[3], [Fraction(-1, 2)]]) == [[Fraction(1, 2)]]
+    rng = np.random.default_rng(3)
+    A, B = rng.integers(-9, 10, (3, 4)), rng.integers(-9, 10, (4, 2))
+    assert linalg.int_matmul(A.tolist(), B.tolist()) == (A @ B).tolist()

@@ -49,6 +49,18 @@ def test_degenerate_delta():
     assert (st.sep, st.spn) == (1, 1)
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+def test_delta_must_be_positive(delta):
+    # a NaN δ used to make greedy_separated append points forever
+    space = ms.FiniteMetricSpace.from_points([0.0, 1.0, 2.0])
+    for build in (ms.greedy_separated, ms.greedy_spanning, ms.net_statistics,
+                  ms.kolm_unitaries):
+        with pytest.raises(PreconditionError):
+            build(space, delta)
+    with pytest.raises(PreconditionError):
+        ms.box_dimension(space, [0.5, delta, 0.1])
+
+
 def test_line_example_exact_separated():
     space = ms.FiniteMetricSpace.from_points([0.0, 0.25, 0.5, 0.75, 1.0])
     st = ms.net_statistics(space, 0.3)
@@ -200,6 +212,9 @@ def test_parse_delta_grid():
     assert max(ratios) - min(ratios) < 1e-12
     with pytest.raises(PreconditionError):
         ms.parse_delta_grid("1:2")
+    for bad in ("nan:0.1:3", "inf:0.1:3", "0.5:nan:3", "0.5:inf:3", "0:0.1:3"):
+        with pytest.raises(PreconditionError):
+            ms.parse_delta_grid(bad)
 
 
 def test_csv_loaders(tmp_path):

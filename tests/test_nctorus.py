@@ -209,20 +209,77 @@ def test_lip_bounds_bracket_order(quarter):
     rng = np.random.default_rng(5)
     for _ in range(5):
         a = random_polynomial(quarter, rng)
-        lo, hi = nctorus.lip_bounds(a, n_radii=12, n_lowdisc=200)
-        assert lo <= hi + 1e-12
+        lo, hi = nctorus.lip_bounds(a)
+        assert lo <= hi
 
 
-def test_sampled_lower_close_for_monomials(quarter):
+def test_lip_bounds_exact_for_monomials(quarter):
     rng = np.random.default_rng(6)
     for _ in range(10):
         k = tuple(int(x) for x in rng.integers(-10, 11, size=2))
         if k == (0, 0):
             continue
-        target = float(np.linalg.norm(k))
-        lo = nctorus.sampled_lip_lower(TP.monomial(quarter, k))
-        assert lo <= target * (1 + 1e-9)
-        assert lo >= 0.99 * target
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        lo, hi = nctorus.lip_bounds(TP.monomial(quarter, k, c))
+        assert lo == hi == pytest.approx(abs(c) * np.linalg.norm(k), rel=1e-12, abs=0)
+
+
+def sampled_lip_lower(a, n_radii=25, n_lowdisc=1000):
+    """The former sampled lower bound: sup of ‖γ_t(a) - a‖_GNS / ℓ(t) over t at
+    geometric radii along each support direction and a Kronecker point set."""
+    p = a.phase.p
+    ks = np.array([k for k in a.coeffs if any(k)], dtype=np.int64)
+    if ks.size == 0:
+        return 0.0
+    abs2 = np.abs(np.array([a.coeffs[tuple(k)] for k in ks])) ** 2
+    dirs = ks / np.linalg.norm(ks.astype(float), axis=1)[:, None]
+    radii = np.geomspace(1e-4, 0.25, n_radii)
+    phi = 1.5  # the root > 1 of x^(p+1) = x + 1
+    for _ in range(80):
+        phi = (1.0 + phi) ** (1.0 / (p + 1))
+    alpha = np.array([(1.0 / phi) ** (j + 1) % 1.0 for j in range(p)])
+    kron = np.mod(np.arange(1, n_lowdisc + 1)[:, None] * alpha[None, :], 1.0)
+    ts = np.vstack([(dirs[:, None, :] * radii[None, :, None]).reshape(-1, p), kron])
+    lower = 0.0
+    for t in ts:
+        r = np.mod(t, 1.0)
+        dist = float(np.linalg.norm(np.minimum(r, 1.0 - r)))
+        if dist < 1e-12:
+            continue
+        num = np.sqrt(np.sum(abs2 * 4.0 * np.sin(np.pi * (ks @ t)) ** 2))
+        lower = max(lower, float(num / (2.0 * np.pi * dist)))
+    return lower
+
+
+@st.composite
+def torus_polynomials(draw):
+    p = draw(st.integers(1, 3))
+    theta = np.zeros((p, p))
+    for i in range(p):
+        for j in range(i + 1, p):
+            theta[i, j] = draw(st.floats(0.0, 1.0, exclude_max=True))
+            theta[j, i] = (-theta[i, j]) % 1.0
+    exps = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * p), min_size=1, max_size=7,
+                         unique=True).filter(lambda ks: any(any(k) for k in ks)))
+    parts = st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.05)
+    coeffs = {k: complex(draw(parts), draw(parts)) for k in exps}
+    return TP(nctorus.PhaseMatrix(p, theta), coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(torus_polynomials())
+def test_lip_lower_is_the_exact_gns_lip_seminorm(a):
+    lo, hi = nctorus.lip_bounds(a)
+    assert 0.0 < lo <= hi
+    # it dominates every value the sampled search could find
+    assert sampled_lip_lower(a) <= lo * (1 + 1e-12)
+    # and the GNS ratio reaches it along the top right singular vector of M
+    ks = np.array([k for k in a.coeffs if any(k)], dtype=float)
+    abs2 = np.array([abs(a.coeffs[tuple(int(x) for x in k)]) ** 2 for k in ks])
+    v = np.linalg.svd(np.sqrt(abs2)[:, None] * ks)[2][0]
+    t = 1e-6 * v
+    ratio = np.sqrt(np.sum(abs2 * 4.0 * np.sin(np.pi * (ks @ t)) ** 2)) / (2e-6 * np.pi)
+    assert ratio == pytest.approx(lo, rel=1e-9)
 
 
 def test_cesaro_basics(quarter):
@@ -441,6 +498,17 @@ def test_polynomial_json_roundtrip(quarter):
     assert b.support == a.support
     for k in a.coeffs:
         assert abs(b.coeffs[k] - a.coeffs[k]) < 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    '{"p": 2, "coefficients": [[[1, 0], 1.0, 0.0]]}',
+    '{"p": 2, "theta": [[0, 0.25], [0.75]], "coefficients": []}',
+    '{"p": 2, "theta": [[0, 0.25], [0.75, 0]], "coefficients": [[[1, 0], 1.0]]}',
+    '{"p": 2, "theta": [[0, 0.25], [0.75, 0]], "coefficients": [[[1, "x"], 1.0, 0.0]]}',
+    '[2]', "{not json"])
+def test_polynomial_json_rejects_malformed_input(text):
+    with pytest.raises(PreconditionError):
+        nctorus.polynomial_from_json(text)
 
 
 def test_rational_fraction_rejects_irrational():
