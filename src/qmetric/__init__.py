@@ -19,9 +19,36 @@ Subpackages by subject:
 - entropy: orbit product sets, shift-entropy brackets, lattice
   Minkowski-sum growth, eigenvalue entropy, and box bounds.
 - cli: reproducible command-line experiments.
+
+Importing qmetric binds every subpackage above except cli, but each one is
+registered through ``importlib.util.LazyLoader``: it sits in ``sys.modules``
+as ``qmetric.<name>`` from the start, and its source is compiled and run on
+the first attribute access. So a CLI call runs only the modules that its
+subcommand uses.
 """
 
-from . import approxdim, caps, entropy, errors, linalg, metricspace, nctorus, weyl
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    """Register the submodule ``name`` unexecuted; it loads on first use."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+approxdim = _lazy("approxdim")
+caps = _lazy("caps")
+entropy = _lazy("entropy")
+errors = _lazy("errors")
+linalg = _lazy("linalg")
+metricspace = _lazy("metricspace")
+nctorus = _lazy("nctorus")
+weyl = _lazy("weyl")
 
 __version__ = "0.1.0"
 

@@ -81,13 +81,17 @@ def dim_exact_orthonormal(m: int, delta: float, strict: bool = True) -> int:
         raise PreconditionError("family size must be >= 1")
     if not delta > 0:
         raise PreconditionError("delta must be positive")
-    # the passing r are those from some point on; step there from (m - r)/m = δ²
-    r = int(min(max(m * (1.0 - delta * delta), 0.0), m))
-    while r > 0 and _passes((m - r + 1) / m, delta * delta, strict):
-        r -= 1
-    while r < m and not _passes((m - r) / m, delta * delta, strict):
-        r += 1
-    return r
+    # the passing r are those from some point on, since the rounded (m - r)/m
+    # falls with r; bisect for the first (about m·2^-55 consecutive r share one
+    # float once m > 2^53, so a closed-form start is no O(1) steps from it)
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _passes((m - mid) / m, delta * delta, strict):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def dim_upper_svd(vectors, delta: float, strict: bool = True) -> tuple[int, np.ndarray]:

@@ -23,6 +23,8 @@ DEFAULT_CAPS = {
     "rep_dim": 4096,
     # number of elements in a dense product set
     "product_set": 1 << 20,
+    # number of terms in the Fejér moment series (odd k <= n)
+    "fejer_terms": 1 << 22,
 }
 
 

@@ -31,12 +31,10 @@ from math import inf
 
 import numpy as np
 
-from .approxdim import dim_exact_orthonormal
+from . import approxdim, nctorus, weyl
 from .caps import check_cap
 from .errors import NumericalError, PreconditionError, ResourceLimitError
 from .linalg import as_unimodular, int_matmul
-from .nctorus import TwistedPolynomial, reorder_exponent
-from .weyl import WeylElement, weyl_expand
 
 __all__ = [
     "LatticeSet",
@@ -557,7 +555,8 @@ def shift_entropy_bracket(p: int, n: int, delta: float) -> tuple[float, float]:
     if not (0.0 < delta < 1.0):
         raise PreconditionError("delta must lie in (0, 1)")
     m = p ** (2 * n)
-    lower = np.log(dim_exact_orthonormal(m, delta)) / n
+    # D may pass 2^64, beyond numpy's integers, so take its log as a float
+    lower = np.log(float(approxdim.dim_exact_orthonormal(m, delta))) / n
     root = int(np.ceil(np.sqrt(n)))
     upper = 2.0 * (2 * root + n) * np.log(p) / n
     return float(lower), float(upper)
@@ -600,7 +599,8 @@ def product_set(omega, alpha, n: int):
     layers = [omega]
     for _ in range(1, n):
         layers.append([alpha(a) for a in layers[-1]])
-    if all(isinstance(a, TwistedPolynomial) and a.is_monomial for layer in layers for a in layer):
+    if all(isinstance(a, nctorus.TwistedPolynomial) and a.is_monomial
+           for layer in layers for a in layer):
         phase = omega[0].phase
         p = phase.p
         keys, coeffs = _monomial_arrays(omega, p)
@@ -626,19 +626,19 @@ def product_set(omega, alpha, n: int):
                 check_cap("product_set", len(seen), "product set")
                 i, j = np.divmod(first, len(k2))
                 new_keys.append(k1[i] + k2[j])
-                twist = np.exp(2j * np.pi * reorder_exponent(k1[i], k2[j], phase))
+                twist = np.exp(2j * np.pi * nctorus.reorder_exponent(k1[i], k2[j], phase))
                 new_coeffs.append(_cmul(_cmul(c1[i], c2[j]), twist))
             keys, coeffs = np.concatenate(new_keys), np.concatenate(new_coeffs)
         order = np.lexsort(keys.T[::-1])
-        return TwistedPolynomial._monomials(phase, keys[order], coeffs[order])
+        return nctorus.TwistedPolynomial._monomials(phase, keys[order], coeffs[order])
 
     check_cap("product_set", len(omega) ** n, "dense product set")
     products = list(omega)
     for layer in layers[1:]:
         products = [a * b for a in products for b in layer]
-    if isinstance(products[0], WeylElement):
-        seen: dict[tuple, WeylElement] = {}
+    if isinstance(products[0], weyl.WeylElement):
+        seen: dict[tuple, weyl.WeylElement] = {}
         for a in products:
-            seen.setdefault(tuple(sorted(weyl_expand(a).data)), a)
+            seen.setdefault(tuple(sorted(weyl.weyl_expand(a).data)), a)
         return list(seen.values())
     return products

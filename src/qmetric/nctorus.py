@@ -343,6 +343,7 @@ def fejer_abs_moment(n: int) -> float:
     """
     if n < 0:
         raise PreconditionError("Fejér order must be >= 0")
+    check_cap("fejer_terms", (n + 1) // 2, "Fejér moment series")
     k = np.arange(1, n + 1, 2, dtype=float)
     if k.size == 0:
         return 0.25

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -47,16 +48,29 @@ def test_exact_orthonormal_matches_scan(m, delta, strict, r):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 2**50), st.floats(1e-4, 1.5), st.booleans())
 @example(10**13, 0.5, False)  # the tie slack admits r about 10 below m(1 - δ²)
-def test_exact_orthonormal_matches_bisection_at_large_m(m, delta, strict):
-    # a scan is too slow here; the test is monotone in r, so bisect
-    lo, hi = 0, m
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ad._passes((m - mid) / m, delta * delta, strict):
-            hi = mid
-        else:
-            lo = mid + 1
-    assert ad.dim_exact_orthonormal(m, delta, strict) == lo
+def test_exact_orthonormal_matches_closed_form_steps_at_large_m(m, delta, strict):
+    # a scan is too slow here; below 2^53 the closed form (m - r)/m = δ² ∓ slack
+    # lands within a few r of the first passing one, so step from there
+    b = delta * delta
+    slack = ad._TIE_SLACK * max(1.0, b)
+    r = int(min(max(m * (1.0 - b + (slack if strict else -slack)), 0.0), m))
+    while r > 0 and ad._passes((m - r + 1) / m, b, strict):
+        r -= 1
+    while r < m and not ad._passes((m - r) / m, b, strict):
+        r += 1
+    assert ad.dim_exact_orthonormal(m, delta, strict) == r
+
+
+@pytest.mark.parametrize("m", [2**64, 2**80, 3**50])
+@pytest.mark.parametrize("delta", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("strict", [True, False])
+def test_exact_orthonormal_is_fast_at_huge_m(m, delta, strict):
+    # shift-entropy asks for m = p^(2n); a walk over r took time linear in m
+    start = time.perf_counter()
+    r = ad.dim_exact_orthonormal(m, delta, strict)
+    assert time.perf_counter() - start < 0.05
+    assert ad._passes((m - r) / m, delta * delta, strict)
+    assert not ad._passes((m - r + 1) / m, delta * delta, strict)
 
 
 def test_lower_spectral_boundary_and_noise():

@@ -88,6 +88,38 @@ def test_cesaro_rate(tmp_path):
     assert summary["fitted_constant"] < 0.2
 
 
+def test_cesaro_rate_huge_order_hits_the_cap(tmp_path, capsys):
+    # the moment series has about n/2 terms; beyond the cap it is refused, not allocated
+    out = tmp_path / "rate.csv"
+    assert run(["cesaro-rate", "--n-list", "2,99999999999", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qmetric: error: ") and "Traceback" not in err
+    assert "fejer_terms" in err
+    assert not out.exists()
+
+
+def test_shift_entropy_at_huge_family_size(tmp_path):
+    # n = 40 asks for D of m = 2^80 orthonormal vectors; in a child with a timeout,
+    # so that a regression to a walk over r fails instead of hanging
+    import os
+    import subprocess
+    import sys
+
+    import qmetric
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qmetric.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qmetric.cli", "shift-entropy", "--p", "2",
+                           "--n-max", "40", "--out", "shift.csv"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    rows = body_of(tmp_path / "shift.csv")[1:]
+    assert len(rows) == 40
+    for row in rows:
+        _, lower, upper = (float(x) for x in row.split(","))
+        # at n = 1 the lower end is 2 log 2 itself, printed to 12 digits
+        assert lower - 1e-11 <= 2 * np.log(2) <= upper
+
+
 def test_lattice_growth(tmp_path):
     out = tmp_path / "growth.csv"
     js = tmp_path / "growth.json"
