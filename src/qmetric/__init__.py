@@ -10,10 +10,9 @@ Subpackages by subject:
   expectations, and exact Lip seminorms as a supremum over character
   fibers, pruned by a bound no skipped fiber can beat.
 - nctorus: twisted polynomials over Z^p with bicharacter phases, torus
-  action Lip brackets, Fejér/Cesàro machinery, toral maps, and a
-  rational-phase clock/shift matrix oracle.
-- metricspace: finite metric spaces, nets, box dimension, Lipschitz
-  seminorms, and the separated-set unitary construction.
+  action Lip brackets, the Fejér moment and Cesàro means, toral maps, and
+  the twisted-polynomial JSON format.
+- metricspace: finite metric spaces, nets and box dimension.
 - approxdim: subspace approximation dimension brackets and the dimension
   regression estimator.
 - entropy: orbit product sets, shift-entropy brackets, lattice

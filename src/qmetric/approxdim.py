@@ -159,9 +159,13 @@ def mdim_regression(samples) -> tuple[float, float]:
         raise PreconditionError("sample deltas must be strictly decreasing")
     if any(r.lower < 1 or r.upper < 1 for r in rows):
         raise PreconditionError("regression needs positive dimension values")
+    # dimensions may pass 2^64, beyond numpy's integers, so take their logs as floats
+    try:
+        dims = np.array([[float(r.lower), float(r.upper)] for r in rows])
+    except OverflowError as exc:
+        raise PreconditionError("a dimension exceeds the float range") from exc
     x = np.log(1.0 / np.asarray(deltas))
-    lo = np.log([r.lower for r in rows])
-    hi = np.log([r.upper for r in rows])
+    lo, hi = np.log(dims).T
     return float(np.polyfit(x, lo, 1)[0]), float(np.polyfit(x, hi, 1)[0])
 
 

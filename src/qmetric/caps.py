@@ -19,9 +19,7 @@ DEFAULT_CAPS = {
     "group_enum": 1 << 20,
     # cardinality of a lattice set
     "lattice_card": 10**8,
-    # dimension of a rational clock/shift representation
-    "rep_dim": 4096,
-    # number of elements in a dense product set
+    # number of elements in a product set
     "product_set": 1 << 20,
     # number of terms in the Fejér moment series (odd k <= n)
     "fejer_terms": 1 << 22,

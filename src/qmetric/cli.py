@@ -5,7 +5,9 @@ header echoing the full configuration as canonical JSON; rerunning from
 that header (``qmetric rerun``) reproduces byte-identical bodies. A run that
 reads files also records each one's sha256, and a rerun refuses to read an
 input whose contents changed since. CSV uses '.' decimals and 12 significant
-digits. Timestamps appear only under --stamp.
+digits, rounded to nearest except in the columns that print a bound: those
+round toward the side on which the bound stays true. Timestamps appear only
+under --stamp.
 
 Exit codes: 0 ok, 2 precondition violated, 3 resource cap exceeded,
 4 internal numerical failure.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -34,6 +37,39 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
+
+
+def _fmt_directed(x, rounding: str) -> str:
+    """x as fmt prints it, but rounded to 12 significant digits in the
+    direction of the decimal module's ``rounding`` mode, decided on the exact
+    value of the float."""
+    x = float(x)
+    if x == 0 or not math.isfinite(x):  # printed exactly, -0 included
+        return fmt(x)
+    # decimal is imported only by the experiments that print bounds
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 12, rounding
+        d = (+Decimal(x)).normalize()
+    sign, digits, exp = d.as_tuple()
+    lead = len(digits) - 1 + exp  # the exponent of the leading digit
+    if -4 <= lead < 12:  # where '.12g' prints fixed-point
+        return f"{d:f}"
+    mantissa = "".join(map(str, digits))
+    if len(mantissa) > 1:
+        mantissa = f"{mantissa[0]}.{mantissa[1:]}"
+    return f"{'-' if sign else ''}{mantissa}e{lead:+03d}"
+
+
+def fmt_lower(x) -> str:
+    """A lower bound x, printed at most x: 12 digits rounded toward -inf."""
+    return _fmt_directed(x, "ROUND_FLOOR")
+
+
+def fmt_upper(x) -> str:
+    """An upper bound x, printed at least x: 12 digits rounded toward +inf."""
+    return _fmt_directed(x, "ROUND_CEILING")
 
 
 def _config_json(command: str, params: dict) -> str:
@@ -84,8 +120,8 @@ def run_weyl_dim(params: dict) -> tuple[list[str], dict]:
         lower_rows.append(approxdim.DimBracket(delta_lower, d_lower, d_lower, "gns-lower"))
         delta_upper = 2.0 * lam ** (n + 1) / (1.0 - lam)
         upper_rows.append(approxdim.DimBracket(delta_upper, m, m, "cstar-upper"))
-        body.append(f"lower,{n},{fmt(delta_lower)},{d_lower}")
-        body.append(f"upper,{n},{fmt(delta_upper)},{m}")
+        body.append(f"lower,{n},{fmt_lower(delta_lower)},{d_lower}")
+        body.append(f"upper,{n},{fmt_upper(delta_upper)},{m}")
     enough = len(lower_rows) >= 3
     summary = {
         "slope_lower": approxdim.mdim_regression(lower_rows)[0] if enough else None,
@@ -102,6 +138,8 @@ def run_torus_dim(params: dict) -> tuple[list[str], dict]:
     p = params["p"]
     delta = params["delta"]
     n_min, n_max = params["n_min"], params["n_max"]
+    if p < 1:
+        raise PreconditionError(f"torus rank p must be >= 1, got {p}")
     if n_min < 1 or n_max < n_min:
         raise PreconditionError("need 1 <= n_min <= n_max")
     element_summary = {}
@@ -129,8 +167,8 @@ def run_torus_dim(params: dict) -> tuple[list[str], dict]:
         # monotonicity of D in δ
         delta_upper = RATE_CONSTANT * np.log(n + 1.0) / n
         upper_rows.append(approxdim.DimBracket(delta_upper, m, m, "cstar-upper"))
-        body.append(f"lower,{n},{fmt(delta_lower)},{d_lower}")
-        body.append(f"upper,{n},{fmt(delta_upper)},{m}")
+        body.append(f"lower,{n},{fmt_lower(delta_lower)},{d_lower}")
+        body.append(f"upper,{n},{fmt_upper(delta_upper)},{m}")
     enough = len(lower_rows) >= 3
     summary = {
         "slope_lower": approxdim.mdim_regression(lower_rows)[0] if enough else None,
@@ -152,7 +190,7 @@ def run_shift_entropy(params: dict) -> tuple[list[str], dict]:
     last = None
     for n in range(1, n_max + 1):
         lo, hi = entropy.shift_entropy_bracket(p, n, delta)
-        body.append(f"{n},{fmt(lo)},{fmt(hi)}")
+        body.append(f"{n},{fmt_lower(lo)},{fmt_upper(hi)}")
         last = (lo, hi)
     summary = {
         "target": 2.0 * np.log(p),
@@ -249,7 +287,7 @@ def run_lattice_growth(params: dict) -> tuple[list[str], dict]:
     body = ["n,card,box_bound,log_diff"]
     for i, (c, bound) in enumerate(zip(series.counts, bounds), start=1):
         diff = fmt(diffs[i - 2]) if i >= 2 else ""
-        body.append(f"{i},{c},{fmt(bound)},{diff}")
+        body.append(f"{i},{c},{fmt_upper(bound)},{diff}")
     summary = {
         "eigen_entropy": entropy.eigen_entropy(T),
         "dominates": all(b >= c for b, c in zip(bounds, series.counts)),

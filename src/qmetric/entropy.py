@@ -31,7 +31,7 @@ from math import inf
 
 import numpy as np
 
-from . import approxdim, nctorus, weyl
+from . import approxdim, nctorus
 from .caps import check_cap
 from .errors import NumericalError, PreconditionError, ResourceLimitError
 from .linalg import as_unimodular, int_matmul
@@ -577,19 +577,18 @@ def _monomial_arrays(layer, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def product_set(omega, alpha, n: int):
-    """All ordered products a_0 α(a_1) ⋯ α^{n-1}(a_{n-1}) for a_i in Ω.
+    """All ordered products a_0 α(a_1) ⋯ α^{n-1}(a_{n-1}) for twisted monomials
+    a_i in Ω, one per exponent.
 
-    Layer j is α applied to layer j−1. If every layer is made of twisted
-    monomials, exponents add as packed lattice keys (so p <= 4): once the
-    box of the sums is range-checked, a candidate key is a kept product's key
-    translated by a layer monomial's packed shift, as in minkowski_sum.
-    Reordering phases go into the coefficient, and the first product per
-    exponent over (kept product, layer monomial) pairs is kept; pairs come in
-    batches of at most _MERGE_BUDGET, each followed by a product_set cap
-    check. The output monomials are built in one batch from these checked
-    arrays, without the validating constructor. Other inputs take the dense
-    path, capped at |Ω|^n elements; Weyl elements are deduplicated by
-    coefficient support.
+    Layer j is α applied to layer j−1, and every layer must be made of
+    twisted monomials. Exponents add as packed lattice keys (so p <= 4):
+    once the box of the sums is range-checked, a candidate key is a kept
+    product's key translated by a layer monomial's packed shift, as in
+    minkowski_sum. Reordering phases go into the coefficient, and the first
+    product per exponent over (kept product, layer monomial) pairs is kept;
+    pairs come in batches of at most _MERGE_BUDGET, each followed by a
+    product_set cap check. The output monomials are built in one batch from
+    these checked arrays, without the validating constructor.
     """
     omega = list(omega)
     if n < 1:
@@ -599,46 +598,36 @@ def product_set(omega, alpha, n: int):
     layers = [omega]
     for _ in range(1, n):
         layers.append([alpha(a) for a in layers[-1]])
-    if all(isinstance(a, nctorus.TwistedPolynomial) and a.is_monomial
-           for layer in layers for a in layer):
-        phase = omega[0].phase
-        p = phase.p
-        keys, coeffs = _monomial_arrays(omega, p)
-        first = np.sort(np.unique(_pack(keys, p), return_index=True)[1])
-        keys, coeffs = keys[first], coeffs[first]
-        check_cap("product_set", len(keys), "product set")
-        origin = _pack(np.zeros((1, p), dtype=np.int64), p)
-        for layer in layers[1:]:
-            k2, c2 = _monomial_arrays(layer, p)
-            # inside the box's range a sum of exponents is one add of packed keys
-            _check_range((keys.min(axis=0) + k2.min(axis=0)).tolist(),
-                         (keys.max(axis=0) + k2.max(axis=0)).tolist(), p)
-            packed, shifts = _pack(keys, p), _pack(k2, p) - origin
-            rows = max(1, _MERGE_BUDGET // len(k2))
-            seen = np.zeros(0, dtype=np.uint64)
-            new_keys, new_coeffs = [], []
-            for start in range(0, len(keys), rows):
-                k1, c1 = keys[start:start + rows], coeffs[start:start + rows]
-                cand = (packed[start:start + rows, None] + shifts[None]).ravel()
-                uniq, first = np.unique(cand, return_index=True)
-                first = np.sort(first[~np.isin(uniq, seen, assume_unique=True)])
-                seen = _sorted_unique(np.concatenate([seen, uniq]))
-                check_cap("product_set", len(seen), "product set")
-                i, j = np.divmod(first, len(k2))
-                new_keys.append(k1[i] + k2[j])
-                twist = np.exp(2j * np.pi * nctorus.reorder_exponent(k1[i], k2[j], phase))
-                new_coeffs.append(_cmul(_cmul(c1[i], c2[j]), twist))
-            keys, coeffs = np.concatenate(new_keys), np.concatenate(new_coeffs)
-        order = np.lexsort(keys.T[::-1])
-        return nctorus.TwistedPolynomial._monomials(phase, keys[order], coeffs[order])
-
-    check_cap("product_set", len(omega) ** n, "dense product set")
-    products = list(omega)
+    if not all(isinstance(a, nctorus.TwistedPolynomial) and a.is_monomial
+               for layer in layers for a in layer):
+        raise PreconditionError("product sets take twisted monomials, and α must keep them")
+    phase = omega[0].phase
+    p = phase.p
+    keys, coeffs = _monomial_arrays(omega, p)
+    first = np.sort(np.unique(_pack(keys, p), return_index=True)[1])
+    keys, coeffs = keys[first], coeffs[first]
+    check_cap("product_set", len(keys), "product set")
+    origin = _pack(np.zeros((1, p), dtype=np.int64), p)
     for layer in layers[1:]:
-        products = [a * b for a in products for b in layer]
-    if isinstance(products[0], weyl.WeylElement):
-        seen: dict[tuple, weyl.WeylElement] = {}
-        for a in products:
-            seen.setdefault(tuple(sorted(weyl.weyl_expand(a).data)), a)
-        return list(seen.values())
-    return products
+        k2, c2 = _monomial_arrays(layer, p)
+        # inside the box's range a sum of exponents is one add of packed keys
+        _check_range((keys.min(axis=0) + k2.min(axis=0)).tolist(),
+                     (keys.max(axis=0) + k2.max(axis=0)).tolist(), p)
+        packed, shifts = _pack(keys, p), _pack(k2, p) - origin
+        rows = max(1, _MERGE_BUDGET // len(k2))
+        seen = np.zeros(0, dtype=np.uint64)
+        new_keys, new_coeffs = [], []
+        for start in range(0, len(keys), rows):
+            k1, c1 = keys[start:start + rows], coeffs[start:start + rows]
+            cand = (packed[start:start + rows, None] + shifts[None]).ravel()
+            uniq, first = np.unique(cand, return_index=True)
+            first = np.sort(first[~np.isin(uniq, seen, assume_unique=True)])
+            seen = _sorted_unique(np.concatenate([seen, uniq]))
+            check_cap("product_set", len(seen), "product set")
+            i, j = np.divmod(first, len(k2))
+            new_keys.append(k1[i] + k2[j])
+            twist = np.exp(2j * np.pi * nctorus.reorder_exponent(k1[i], k2[j], phase))
+            new_coeffs.append(_cmul(_cmul(c1[i], c2[j]), twist))
+        keys, coeffs = np.concatenate(new_keys), np.concatenate(new_coeffs)
+    order = np.lexsort(keys.T[::-1])
+    return nctorus.TwistedPolynomial._monomials(phase, keys[order], coeffs[order])

@@ -1,6 +1,4 @@
-"""Finite metric spaces: nets, covering counts, box dimension, and the
-partition-of-unity / unitary construction behind the dimension equivalence
-for Lipschitz seminorms.
+"""Finite metric spaces: nets, covering counts and box dimension.
 
 Conventions: a set is δ-separated when pairwise distances exceed δ; a set F
 is δ-spanning when every point lies within δ of F (closed balls). Covering
@@ -28,7 +26,6 @@ import numpy as np
 from .errors import PreconditionError
 
 EXACT_SEP_LIMIT = 20
-LIP_EXPONENTIAL_CONSTANT = float(2.0 * np.pi * np.exp(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -201,59 +198,6 @@ def box_dimension(space: FiniteMetricSpace, deltas) -> BoxDimension:
         _loglog_slope(deltas, [s.sep for s in stats]),
         _loglog_slope(deltas, [s.spn for s in stats]),
         stats,
-    )
-
-
-def lipschitz_seminorm(values, space: FiniteMetricSpace) -> float:
-    """Exact max of |f(x) - f(y)| / d(x, y) over pairs."""
-    f = np.asarray(values)
-    if f.shape != (space.n,):
-        raise PreconditionError("one value per point required")
-    if space.n < 2:
-        return 0.0
-    iu = np.triu_indices(space.n, 1)
-    return float((np.abs(f[:, None] - f[None, :])[iu] / space.dist[iu]).max())
-
-
-@dataclass(frozen=True)
-class KolmBundle:
-    """Partition-of-unity construction over a maximal separated set E.
-
-    f_j(x) = max(0, 1 - d(x, x_j)/δ), g_k = Σ_j frac(jk/r) f_j,
-    u_k = exp(2πi g_k). Restricted to E the u_k are the r-point DFT
-    characters, so their Gram matrix under the uniform measure on E is the
-    identity. The exponential-series Lip estimate carries the constant
-    2π e^(2π), recorded as lip_constant.
-    """
-
-    delta: float
-    separated: tuple[int, ...]
-    f: np.ndarray
-    g: np.ndarray
-    u: np.ndarray
-    gram: np.ndarray
-    f_lipschitz: np.ndarray
-    g_lipschitz: np.ndarray
-    lip_constant: float
-
-
-def kolm_unitaries(space: FiniteMetricSpace, delta: float) -> KolmBundle:
-    if not delta > 0:
-        raise PreconditionError("delta must be positive")
-    E = greedy_separated(space, delta)
-    r = len(E)
-    f = np.maximum(0.0, 1.0 - space.dist[E, :] / delta)  # r x n, rows f_j
-    j = np.arange(1, r + 1)
-    k = np.arange(1, r + 1)
-    frac = np.mod(np.outer(j, k) / r, 1.0)  # frac(jk/r), rows j, cols k
-    g = frac.T @ f  # rows g_k
-    u = np.exp(2j * np.pi * g)
-    u_on_e = u[:, E]
-    gram = (u_on_e @ u_on_e.conj().T) / r
-    f_lip = np.array([lipschitz_seminorm(f[i], space) for i in range(r)])
-    g_lip = np.array([lipschitz_seminorm(g[i], space) for i in range(r)])
-    return KolmBundle(
-        delta, tuple(E), f, g, u, gram, f_lip, g_lip, LIP_EXPONENTIAL_CONSTANT
     )
 
 

@@ -6,8 +6,9 @@ mod 1). Elements are finitely supported coefficient maps k ↦ c_k on Z^p,
 understood as normal-ordered sums Σ c_k u_1^{k_1} ⋯ u_p^{k_p}.
 
 Multiplying normal-ordered monomials produces the reordering phase
-phase(k, l) = Π_{i<j} ρ_ij^{k_j l_i}, validated against the rational-θ
-clock/shift matrix representation rather than trusted from derivation.
+phase(k, l) = Π_{i<j} ρ_ij^{k_j l_i}. The tests check it against a
+rational-θ clock/shift matrix representation (tests/oracles.py) rather
+than trust the derivation.
 
 The torus action γ_t(u_j) = e^{2πi t_j} u_j with length scaled by 2π gives
 L(u_j) = 1; lip_bounds returns certified (lower, upper) brackets whose
@@ -20,15 +21,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, inf
+from math import inf
 
 import numpy as np
 
 from .caps import check_cap
 from .errors import PreconditionError
 from .linalg import as_unimodular, operator_norm
-from . import weyl
 
 # a coefficient is dropped at or below this fraction of the largest modulus
 PRUNE_TOL = 1e-15
@@ -237,25 +236,6 @@ def trace(a: TwistedPolynomial) -> complex:
     return complex(a.coeffs.get((0,) * a.phase.p, 0.0))
 
 
-def trace_pairing(a: TwistedPolynomial, b: TwistedPolynomial) -> complex:
-    """GNS inner product ⟨a, b⟩ = τ(b* a) = Σ_k a_k conj(b_k).
-
-    The reordering and involution phases cancel exactly, so the pairing is
-    the plain ℓ² form on coefficients; monomials are orthonormal.
-    """
-    a._check_phase(b)
-    small, large = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
-    total = 0.0 + 0.0j
-    for k in small:
-        if k in large:
-            total += a.coeffs[k] * np.conj(b.coeffs[k])
-    return complex(total)
-
-
-def gns_norm(a: TwistedPolynomial) -> float:
-    return float(np.sqrt(sum(abs(c) ** 2 for c in a.coeffs.values())))
-
-
 def gns_vector(a: TwistedPolynomial, exponents: list[tuple[int, ...]]) -> np.ndarray:
     """Coefficient vector of a relative to an ordered exponent list."""
     return np.array([a.coeffs.get(tuple(k), 0.0) for k in exponents], dtype=np.complex128)
@@ -286,19 +266,6 @@ def lip_bounds(a: TwistedPolynomial) -> tuple[float, float]:
     return min(lower, upper), upper
 
 
-def partial_fourier_sum(a: TwistedPolynomial, nvec) -> TwistedPolynomial:
-    """Keep coefficients with |k_i| <= n_i for every i."""
-    nvec = tuple(int(x) for x in nvec)
-    if len(nvec) != a.phase.p or any(x < 0 for x in nvec):
-        raise PreconditionError("partial sum orders must be nonnegative, one per generator")
-    kept = {
-        k: c
-        for k, c in a.coeffs.items()
-        if all(abs(ki) <= ni for ki, ni in zip(k, nvec))
-    }
-    return TwistedPolynomial(a.phase, kept)
-
-
 def cesaro_mean(a: TwistedPolynomial, n: int) -> TwistedPolynomial:
     """σ_n: multiply the coefficient at k by Π_i max(0, 1 - |k_i|/(n+1)).
 
@@ -316,25 +283,6 @@ def cesaro_mean(a: TwistedPolynomial, n: int) -> TwistedPolynomial:
     return TwistedPolynomial(a.phase, out)
 
 
-def fejer_eval(n: int, t) -> np.ndarray:
-    """Fejér kernel K_n(t) = Σ_{|k|<=n} (1 - |k|/(n+1)) e^{2πikt}.
-
-    Closed form (1/(n+1)) (sin(π(n+1)t)/sin(πt))² for the e^{2πikt}
-    character convention on t in [-1/2, 1/2).
-    """
-    if n < 0:
-        raise PreconditionError("Fejér order must be >= 0")
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t)
-    s = np.sin(np.pi * t)
-    small = np.abs(s) < 1e-14
-    out[small] = n + 1.0
-    ts = t[~small]
-    out[~small] = (np.sin(np.pi * (n + 1) * ts) / np.sin(np.pi * ts)) ** 2 / (n + 1.0)
-    return float(out[0]) if scalar else out
-
-
 def fejer_abs_moment(n: int) -> float:
     """∫_T |t| K_n(t) dt, exactly: 1/4 - (2/π²) Σ_{odd k<=n} (1 - k/(n+1))/k².
 
@@ -348,86 +296,6 @@ def fejer_abs_moment(n: int) -> float:
     if k.size == 0:
         return 0.25
     return float(0.25 - (2.0 / np.pi**2) * np.sum((1.0 - k / (n + 1.0)) / k**2))
-
-
-def phase_fractions(phase: PhaseMatrix, max_denominator: int = 10**4) -> tuple[np.ndarray, int]:
-    """Recover θ_ij = q_ij / N with a common denominator N, or fail.
-
-    The denominator cap keeps the 1e-12 rationality test decisive: quadratic
-    irrationals have convergents with error ~ 1/(2q²), which stays above the
-    tolerance for q <= 1e4.
-    """
-    p = phase.p
-    fracs = [[Fraction(0)] * p for _ in range(p)]
-    N = 1
-    for i in range(p):
-        for j in range(p):
-            f = Fraction(float(phase.theta[i, j])).limit_denominator(max_denominator)
-            if abs(float(f) - float(phase.theta[i, j])) > 1e-12:
-                raise PreconditionError(f"theta[{i},{j}] is not rational within 1e-12")
-            fracs[i][j] = f
-            N = N * f.denominator // gcd(N, f.denominator)
-    q = np.array([[int(fracs[i][j] * N) for j in range(p)] for i in range(p)], dtype=np.int64)
-    return q, N
-
-
-def rational_generators(phase: PhaseMatrix) -> list[np.ndarray]:
-    """Unitaries U_1..U_p with U_j U_i = e^{2πi θ_ij} U_i U_j at rational θ.
-
-    One clock/shift pair of size N per generator pair (i, j) on the tensor
-    product ⊗_{i<j} C^N: U_i acts as the clock and U_j as shift^(q_ij).
-    """
-    p = phase.p
-    if p < 2:
-        raise PreconditionError("rational representation needs p >= 2")
-    q, N = phase_fractions(phase)
-    n_pairs = p * (p - 1) // 2
-    dim = N**n_pairs
-    check_cap("rep_dim", dim, "rational representation")
-    u, v = weyl.clock_shift(N) if N >= 2 else (np.eye(1, dtype=complex), np.eye(1, dtype=complex))
-    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    gens = []
-    for g in range(p):
-        mat = np.array([[1.0 + 0j]])
-        for (i, j) in pairs:
-            if g == i:
-                factor = u
-            elif g == j:
-                factor = np.linalg.matrix_power(v, int(q[i, j]) % N) if N >= 2 else np.eye(1, dtype=complex)
-            else:
-                factor = np.eye(N if N >= 2 else 1, dtype=complex)
-            mat = np.kron(mat, factor)
-        gens.append(mat)
-    return gens
-
-
-def rational_representation(phase: PhaseMatrix, a: TwistedPolynomial) -> np.ndarray:
-    """Image of a under the clock/shift representation (a *-homomorphism).
-
-    The operator norm of the image is a certified lower bound for the
-    universal C*-norm. The representation trace matches τ only on exponent
-    windows where clock/shift powers are trace-free; callers restricting to
-    |k_i| < N at θ_ij = q/N in lowest terms are safe.
-    """
-    if a.phase != phase:
-        raise PreconditionError("phase matrices do not match")
-    gens = rational_generators(phase)
-    dim = gens[0].shape[0]
-    # order of every generator divides N * (order of shift powers); powers cycle
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for k, c in a.coeffs.items():
-        mat = np.eye(dim, dtype=np.complex128)
-        for g, kg in enumerate(k):
-            if kg:
-                mat = mat @ _int_matrix_power(gens[g], kg)
-        out += c * mat
-    return out
-
-
-def _int_matrix_power(m: np.ndarray, k: int) -> np.ndarray:
-    if k >= 0:
-        return np.linalg.matrix_power(m, k)
-    return np.linalg.matrix_power(m.conj().T, -k)
 
 
 @dataclass(frozen=True)

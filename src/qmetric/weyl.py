@@ -13,15 +13,14 @@ yields an exact Lip seminorm as a supremum over the finite group, taken
 fiber by fiber and pruned by an upper bound that no skipped fiber can beat.
 
 Monomial exponents are tuples of (i, j) pairs, one pair per site in window
-order. The coefficient basis is the ground truth for GNS vectors and for
-serialization. Conditional expectations need no basis: since τ(u^i v^j) = 0
+order. The coefficient basis is the ground truth for GNS vectors.
+Conditional expectations need no basis: since τ(u^i v^j) = 0
 unless i = j = 0, E_n is the normalized partial trace over the sites outside
 [-n, n], taken on the matrix directly.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -258,24 +257,6 @@ def embed(a: WeylElement, window: WeylWindow) -> WeylElement:
     return WeylElement(window, m)
 
 
-def shift_element(a: WeylElement, steps: int = 1) -> WeylElement:
-    """Right shift: site k content moves to site k + steps."""
-    w = a.window
-    return WeylElement(WeylWindow(w.p, w.lo + steps, w.hi + steps), a.matrix)
-
-
-def shift_lipschitz_number(lam: float) -> float:
-    """Lipschitz number of the shift for ℓ_λ.
-
-    Direct computation: the right shift T sends the site-k coordinate to
-    site k+1, and sup_g ℓ_λ(Tg)/ℓ_λ(g) is attained on negative sites where
-    λ^|k+1| / λ^|k| = λ^(-1). The same value bounds the inverse shift.
-    """
-    if not (0.0 < lam < 1.0):
-        raise PreconditionError("λ must lie in (0, 1)")
-    return 1.0 / lam
-
-
 def conditional_expectation(a: WeylElement, n: int) -> WeylElement:
     """E_n: kill every Weyl coefficient with a nontrivial exponent outside [-n, n].
 
@@ -463,7 +444,7 @@ def monomial_lip_norm(window: WeylWindow, exponents, lam: float) -> float:
 
 
 def family_lip_max(window: WeylWindow, lam: float) -> float:
-    """max of monomial_lip_norm over weyl_unitary_family(window), the same float.
+    """max of monomial_lip_norm over every monomial on the window, the same float.
 
     A monomial's L is the largest of its per-site terms, each divided by
     λ^|site|, so the largest over the family sits on a monomial supported on
@@ -480,66 +461,3 @@ def family_lip_max(window: WeylWindow, lam: float) -> float:
             exps[edge] = (i, j)
             best = max(best, monomial_lip_norm(window, exps, lam))
     return best
-
-
-def exponent_index(window: WeylWindow, exps: Exponents) -> int:
-    """Flat index of a monomial exponent in the canonical coefficient basis."""
-    p = window.p
-    idx = 0
-    for i, j in exps:
-        idx = idx * p * p + i * p + j
-    return idx
-
-
-def gns_vector(a: WeylElement) -> np.ndarray:
-    """Coefficient vector of a in the monomial basis (the GNS vector π_τ(a)ξ_τ)."""
-    w = a.window
-    vec = np.zeros(w.dim**2, dtype=np.complex128)
-    for exps, c in weyl_expand(a).data.items():
-        vec[exponent_index(w, exps)] = c
-    return vec
-
-
-def element_to_jsonable(a: WeylElement) -> dict:
-    coeffs = weyl_expand(a)
-    rows = sorted(
-        ([list(pair) for pair in exps], c.real, c.imag) for exps, c in coeffs.data.items()
-    )
-    return {
-        "p": a.window.p,
-        "lo": a.window.lo,
-        "hi": a.window.hi,
-        "coefficients": [[e, re, im] for e, re, im in rows],
-    }
-
-
-def element_from_jsonable(obj: dict) -> WeylElement:
-    window = WeylWindow(int(obj["p"]), int(obj["lo"]), int(obj["hi"]))
-    data: dict[Exponents, complex] = {}
-    for exps, re, im in obj["coefficients"]:
-        key = normalize_exponents(window, [tuple(pair) for pair in exps])
-        data[key] = complex(re, im)
-    return reconstruct(WeylCoefficients(window, data))
-
-
-def element_to_json(a: WeylElement) -> str:
-    return json.dumps(element_to_jsonable(a), sort_keys=True)
-
-
-def element_from_json(text: str) -> WeylElement:
-    return element_from_jsonable(json.loads(text))
-
-
-def weyl_unitary_family(window: WeylWindow) -> list[Exponents]:
-    """All monomial exponent tuples on the window (the elementary-tensor family)."""
-    p = window.p
-    W = window.n_sites
-    check_cap("group_enum", p ** (2 * W), "Weyl monomial family")
-    out = []
-    for flat in range(p ** (2 * W)):
-        exps = []
-        for k in range(W - 1, -1, -1):
-            pair_idx = (flat // (p * p) ** k) % (p * p)
-            exps.append((pair_idx // p, pair_idx % p))
-        out.append(tuple(exps))
-    return out

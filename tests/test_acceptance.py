@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from qmetric import approxdim, cli, entropy, metricspace, nctorus, weyl
 
 CAT = np.array([[2, 1], [1, 1]])
@@ -27,7 +28,7 @@ def test_01_weyl_relations_and_trace_orthonormality():
         assert np.abs(v @ u - rho * u @ v).max() < 1e-12
         for n_sites in (1, 2, 3):
             window = weyl.WeylWindow(p, 0, n_sites - 1)
-            for exps in weyl.weyl_unitary_family(window):
+            for exps in oracles.weyl_unitary_family(window):
                 data = weyl.weyl_expand(weyl.weyl_monomial(window, exps)).data
                 # expansion row = Gram row against every monomial: one-hot
                 assert set(data) == {exps}
@@ -53,7 +54,7 @@ def test_02_twisted_product_matrix_oracle():
                 phase = nctorus.reorder_phase(k, l, ph)
                 for key in (k, l, tuple(a + b for a, b in zip(k, l))):
                     if key not in reps:
-                        reps[key] = nctorus.rational_representation(
+                        reps[key] = oracles.rational_representation(
                             ph, nctorus.TwistedPolynomial.monomial(ph, key)
                         )
                 lhs = reps[k] @ reps[l]
@@ -99,9 +100,9 @@ def test_04_shift_entropy_brackets_and_gns():
     w0 = weyl.WeylWindow(2, 0, 0)
     omega = [weyl.weyl_monomial(w0, [e]) for e in itertools.product(range(2), repeat=2)]
     for n in range(1, 5):
-        products = entropy.product_set(omega, weyl.shift_element, n)
+        products = oracles.dense_product_set(omega, oracles.shift_element, n)
         assert len(products) == 2 ** (2 * n)
-        fam = np.column_stack([weyl.gns_vector(a) for a in products])
+        fam = np.column_stack([oracles.gns_vector(a) for a in products])
         m = fam.shape[1]
         oracle = approxdim.dim_exact_orthonormal(m, 0.5)
         assert approxdim.dim_lower_spectral(fam, 0.5) == oracle
@@ -174,7 +175,7 @@ def test_08_kolm_construction():
         np.column_stack([xs.ravel(), ys.ravel()])
     )
     delta = 0.1
-    bundle = metricspace.kolm_unitaries(space, delta)
+    bundle = oracles.kolm_unitaries(space, delta)
     assert len(bundle.separated) == 64
     defect = np.abs(bundle.gram - np.eye(64)).max()
     assert defect < 1e-10
@@ -189,7 +190,7 @@ def test_09_fejer_cesaro_rates():
     for n in (16, 256, 4096):
         edges = np.arange(0, n + 2) / (n + 1) * 0.5
         total = sum(
-            integrate.quad(lambda t: nctorus.fejer_eval(n, t), a, b, limit=100)[0]
+            integrate.quad(lambda t: oracles.fejer_eval(n, t), a, b, limit=100)[0]
             for a, b in zip(edges[:-1], edges[1:])
         )
         assert abs(2 * total - 1.0) < 1e-8
@@ -240,7 +241,7 @@ def test_11_uhf_dimension_experiment():
 
     # (a) E_n residual <= L(a) 2 lam^{n+1} / (1 - lam) on random sparse elements
     window = weyl.WeylWindow(2, -3, 3)
-    exps_pool = weyl.weyl_unitary_family(weyl.WeylWindow(2, 0, 1))
+    exps_pool = oracles.weyl_unitary_family(weyl.WeylWindow(2, 0, 1))
     for _ in range(2):
         data = {}
         while len(data) < 8:
@@ -261,8 +262,8 @@ def test_11_uhf_dimension_experiment():
         win = weyl.WeylWindow(2, -n, n)
         fam = np.column_stack(
             [
-                weyl.gns_vector(weyl.weyl_monomial(win, exps))
-                for exps in weyl.weyl_unitary_family(win)
+                oracles.gns_vector(weyl.weyl_monomial(win, exps))
+                for exps in oracles.weyl_unitary_family(win)
             ]
         )
         m = fam.shape[1]
@@ -272,7 +273,7 @@ def test_11_uhf_dimension_experiment():
     # is structural (distinct exponents), spot-checked on a sample, and the
     # exact oracle gives the bound
     win3 = weyl.WeylWindow(2, -3, 3)
-    family3 = weyl.weyl_unitary_family(win3)
+    family3 = oracles.weyl_unitary_family(win3)
     assert len(set(family3)) == 2**14
     for idx in rng.choice(len(family3), size=64, replace=False):
         exps = family3[int(idx)]

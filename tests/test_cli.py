@@ -1,11 +1,16 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qmetric import approxdim
-from qmetric.cli import extract_config, main
+from qmetric.cli import extract_config, fmt, fmt_lower, fmt_upper, main
+
+CAT = [[2, 1], [1, 1]]
 
 
 def run(argv):
@@ -114,10 +119,81 @@ def test_shift_entropy_at_huge_family_size(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = body_of(tmp_path / "shift.csv")[1:]
     assert len(rows) == 40
+    # at n = 1 the lower end is 2 log 2 itself, printed rounded down
+    target = Fraction(2 * np.log(2))
     for row in rows:
-        _, lower, upper = (float(x) for x in row.split(","))
-        # at n = 1 the lower end is 2 log 2 itself, printed to 12 digits
-        assert lower - 1e-11 <= 2 * np.log(2) <= upper
+        _, lower, upper = (Fraction(x) for x in row.split(","))
+        assert lower <= target <= upper
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(2 * np.log(2))  # shift-entropy's n = 1 lower end, once printed above itself
+@example(-0.0)
+@example(5e-324)
+@example(999999999999.5)
+@example(1.7976931348623157e308)
+def test_bounds_print_on_their_safe_side(x):
+    # a printed lower end is at most the value and an upper end at least it,
+    # compared exactly; each is the nearest 12-digit string when that one is
+    # on the safe side, and otherwise the next 12-digit decimal toward it
+    value, nearest = Fraction(x), fmt(x)
+    for printed, safe in ((fmt_lower(x), lambda s: Fraction(s) <= value),
+                          (fmt_upper(x), lambda s: Fraction(s) >= value)):
+        assert safe(printed)
+        if safe(nearest):
+            assert printed == nearest
+        else:
+            digits = printed.lstrip("-").split("e")[0].replace(".", "").strip("0")
+            assert 1 <= len(digits) <= 12
+            step = abs(Fraction(nearest) - Fraction(printed))
+            assert 0 < step <= abs(Fraction(nearest)) / 10**11
+
+
+def test_bound_columns_round_toward_safety(tmp_path):
+    # every printed bound against the value computed for it, on configurations
+    # where rounding to nearest printed some of them on the wrong side
+    from qmetric import cli, entropy, weyl
+
+    def rows(argv):
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--out", out]) == 0
+        return [row.split(",") for row in body_of(out)[1:]]
+
+    for n, lower, upper in rows(["shift-entropy", "--p", 2, "--n-max", 6]):
+        lo, hi = entropy.shift_entropy_bracket(2, int(n), 0.5)
+        assert Fraction(lower) <= Fraction(lo) and Fraction(hi) <= Fraction(upper)
+    for n, _, bound, _ in rows(["lattice-growth", "--T", "2,1,1,1", "--n", 8]):
+        assert Fraction(bound) >= Fraction(entropy.box_bound_card(CAT, 1, int(n), 0.05))
+    for lam in (0.3, 0.4):
+        for series, n, delta, _ in rows(["weyl-dim", "--lam", lam, "--n-max", 3]):
+            n = int(n)
+            if series == "lower":
+                lip = weyl.family_lip_max(weyl.WeylWindow(2, -n, n), lam)
+                assert Fraction(delta) <= Fraction(0.5 / lip)
+            else:
+                assert Fraction(delta) >= Fraction(2.0 * lam ** (n + 1) / (1.0 - lam))
+    for series, n, delta, _ in rows(["torus-dim", "--p", 3, "--n-max", 6]):
+        n = int(n)
+        if series == "lower":
+            assert Fraction(delta) <= Fraction(0.5 / (n * np.sqrt(3)))
+        else:
+            assert Fraction(delta) >= Fraction(cli.RATE_CONSTANT * np.log(n + 1.0) / n)
+
+
+@pytest.mark.parametrize("p, code", [(0, 2), (-1, 2), (40, 0), (400, 2)])
+def test_torus_dim_rank(tmp_path, capsys, p, code):
+    # p = 0 used to write rows with δ = inf and p = -1 to warn before failing;
+    # p = 40 reaches dimensions past 2^64, and p = 400 past the float range
+    out, js = tmp_path / "td.csv", tmp_path / "td.json"
+    assert run(["torus-dim", "--p", p, "--n-max", 3, "--out", out, "--json-out", js]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("qmetric: error: ")
+        assert not out.exists()
+    else:
+        summary = json.loads(js.read_text())
+        assert summary["slope_lower"] <= summary["target"] == p <= summary["slope_upper"]
 
 
 def test_lattice_growth(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qmetric import entropy, nctorus, weyl
 from qmetric.errors import PreconditionError, ResourceLimitError
 
@@ -197,7 +198,7 @@ def test_product_set_shift_weyl_tensors():
     p, n = 2, 3
     w0 = weyl.WeylWindow(p, 0, 0)
     omega = [weyl.weyl_monomial(w0, [e]) for e in itertools.product(range(p), repeat=2)]
-    out = entropy.product_set(omega, weyl.shift_element, n)
+    out = oracles.dense_product_set(omega, oracles.shift_element, n)
     assert len(out) == p ** (2 * n)
     hull = weyl.WeylWindow(p, 0, n - 1)
     seen = set()
@@ -207,7 +208,7 @@ def test_product_set_shift_weyl_tensors():
         (exps, c), = data.items()
         assert abs(abs(c) - 1.0) < 1e-12
         seen.add(exps)
-    assert seen == set(weyl.weyl_unitary_family(hull))
+    assert seen == set(oracles.weyl_unitary_family(hull))
 
 
 def test_product_set_toral_exponent_image():
@@ -242,12 +243,18 @@ def test_product_set_symbolic_matches_dense():
     assert {a.support[0] for a in symbolic} == dense_exps
 
 
-def test_product_set_dense_cap(monkeypatch):
+def test_product_set_rejects_non_monomials():
     ph = nctorus.PhaseMatrix.two_torus(0.25)
-    two = nctorus.TwistedPolynomial.monomial(ph, (1, 0)) + nctorus.TwistedPolynomial.one(ph)
-    monkeypatch.setenv("QMETRIC_CAP", "product_set=100")
-    with pytest.raises(ResourceLimitError):
-        entropy.product_set([two] * 8, lambda a: a, 8)
+    u = nctorus.TwistedPolynomial.monomial(ph, (1, 0))
+    two = u + nctorus.TwistedPolynomial.one(ph)
+    with pytest.raises(PreconditionError):
+        entropy.product_set([u, two], lambda a: a, 2)
+    # Ω of monomials whose images under α are not
+    with pytest.raises(PreconditionError):
+        entropy.product_set([u], lambda a: a + two, 2)
+    w0 = weyl.WeylWindow(2, 0, 0)
+    with pytest.raises(PreconditionError):
+        entropy.product_set([weyl.weyl_monomial(w0, [(1, 0)])], oracles.shift_element, 2)
 
 
 def scalar_product_set(omega, alpha, n):

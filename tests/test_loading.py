@@ -95,6 +95,30 @@ def test_a_subcommand_runs_only_its_modules(readme_inputs, argv, extra):
     assert (readme_inputs / "out.csv").read_bytes() == (readme_inputs / "again.csv").read_bytes()
 
 
+def test_monomial_product_sets_and_torus_elements_leave_weyl_alone(readme_inputs):
+    # entropy and nctorus do not bind weyl at all, so neither can run it
+    code = ("import importlib.util, json, sys\n"
+            "import numpy as np\n"
+            "import qmetric.cli\n"
+            "from qmetric import entropy, nctorus\n"
+            "ph = nctorus.PhaseMatrix.two_torus(0.25)\n"
+            "cat = nctorus.ToralMap(np.array([[2, 1], [1, 1]]))\n"
+            "omega = [nctorus.TwistedPolynomial.monomial(ph, k) for k in ((0, 0), (1, 0), (0, 1))]\n"
+            "products = entropy.product_set(omega, lambda a: nctorus.toral_map_apply(cat, a), 3)\n"
+            "code = qmetric.cli.main(['torus-dim', '--element', 'poly.json',\n"
+            "                         '--element-out', 'smoothed.json', '--out', 'td.csv'])\n"
+            "print(json.dumps([len(products), code,\n"
+            "                  isinstance(sys.modules['qmetric.weyl'], importlib.util._LazyModule),\n"
+            "                  [hasattr(m, 'weyl') for m in (entropy, nctorus)]]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=readme_inputs, env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, code, weyl_unexecuted, bound = json.loads(proc.stdout)
+    assert count > 1 and code == 0
+    assert weyl_unexecuted
+    assert bound == [False, False]
+
+
 def test_importing_the_cli_runs_only_cli_caps_errors(tmp_path):
     assert executed([], tmp_path) == BASE
 

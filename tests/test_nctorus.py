@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import oracles
 from qmetric import nctorus
-from qmetric.errors import PreconditionError, ResourceLimitError
+from qmetric.errors import PreconditionError
 from qmetric.linalg import operator_norm
 
 TP = nctorus.TwistedPolynomial
@@ -122,10 +123,10 @@ def test_phase_against_matrix_oracle_third():
     ph = nctorus.PhaseMatrix.two_torus(1.0 / 3.0)
     k, l = (2, 1), (1, 2)
     phase = nctorus.reorder_phase(k, l, ph)
-    gens = nctorus.rational_generators(ph)
-    img_k = nctorus.rational_representation(ph, TP.monomial(ph, k))
-    img_l = nctorus.rational_representation(ph, TP.monomial(ph, l))
-    img_sum = nctorus.rational_representation(ph, TP.monomial(ph, (3, 3)))
+    gens = oracles.rational_generators(ph)
+    img_k = oracles.rational_representation(ph, TP.monomial(ph, k))
+    img_l = oracles.rational_representation(ph, TP.monomial(ph, l))
+    img_sum = oracles.rational_representation(ph, TP.monomial(ph, (3, 3)))
     assert np.abs(img_k @ img_l - phase * img_sum).max() < 1e-12
     assert gens[0].shape == (3, 3)
 
@@ -137,9 +138,9 @@ def test_product_unital_and_matches_oracle(quarter):
         a = random_polynomial(quarter, rng)
         b = random_polynomial(quarter, rng)
         assert (a * one).coeffs == a.coeffs
-        pa = nctorus.rational_representation(quarter, a)
-        pb = nctorus.rational_representation(quarter, b)
-        pab = nctorus.rational_representation(quarter, a * b)
+        pa = oracles.rational_representation(quarter, a)
+        pb = oracles.rational_representation(quarter, b)
+        pab = oracles.rational_representation(quarter, a * b)
         assert np.abs(pa @ pb - pab).max() < 1e-12
 
 
@@ -166,8 +167,8 @@ def test_involution_properties(quarter):
     for k in lin.coeffs:
         assert abs(lin.coeffs[k] - ref.coeffs[k]) < 1e-12
     # adjoint intertwines with the matrix oracle
-    img = nctorus.rational_representation(quarter, a.adjoint())
-    assert np.abs(img - nctorus.rational_representation(quarter, a).conj().T).max() < 1e-12
+    img = oracles.rational_representation(quarter, a.adjoint())
+    assert np.abs(img - oracles.rational_representation(quarter, a).conj().T).max() < 1e-12
 
 
 def test_unitary_cancellation(quarter):
@@ -177,20 +178,26 @@ def test_unitary_cancellation(quarter):
     assert abs(prod.coeffs[(0, 0)] - 1.0) < 1e-14
 
 
+def l2_pairing(a, b):
+    """Σ_k a_k conj(b_k), the ℓ² form on coefficients."""
+    return sum(c * np.conj(b.coeffs.get(k, 0.0)) for k, c in a.coeffs.items())
+
+
 def test_trace_pairing(quarter):
+    # τ(b* a) is the ℓ² form on coefficients: the reordering and involution
+    # phases cancel, so monomials are orthonormal
     rng = np.random.default_rng(4)
     one = TP.one(quarter)
-    assert nctorus.trace_pairing(one, one) == 1.0
+    assert nctorus.trace(one.adjoint() * one) == 1.0
     for k in [(3, -2), (0, 5), (-7, 1)]:
         m = TP.monomial(quarter, k)
-        assert abs(nctorus.trace_pairing(m, m) - 1.0) < 1e-15
+        assert abs(nctorus.trace(m.adjoint() * m) - 1.0) < 1e-15
     a = random_polynomial(quarter, rng)
     b = random_polynomial(quarter, rng)
-    # l2 form agrees with the literal τ(b* a) route
-    direct = nctorus.trace(b.adjoint() * a)
-    assert abs(nctorus.trace_pairing(a, b) - direct) < 1e-12
-    assert nctorus.trace_pairing(a, a).real >= 0
-    assert abs(nctorus.trace_pairing(a, a).imag) < 1e-12
+    assert abs(nctorus.trace(b.adjoint() * a) - l2_pairing(a, b)) < 1e-12
+    self_pairing = nctorus.trace(a.adjoint() * a)
+    assert self_pairing.real >= 0
+    assert abs(self_pairing.imag) < 1e-12
 
 
 def test_lip_bounds_scalars_and_monomials(quarter):
@@ -299,7 +306,7 @@ def test_cesaro_against_partial_sum_average(quarter):
     for n in (1, 3, 4):
         avg: dict = {}
         for nvec in itertools.product(range(n + 1), repeat=2):
-            s = nctorus.partial_fourier_sum(a, nvec)
+            s = oracles.partial_fourier_sum(a, nvec)
             for k, c in s.coeffs.items():
                 avg[k] = avg.get(k, 0.0) + c
         avg = {k: c / (n + 1) ** 2 for k, c in avg.items()}
@@ -329,16 +336,16 @@ def test_fejer_series_matches_closed_form():
         series = np.real(
             np.sum(w[:, None] * np.exp(2j * np.pi * np.outer(k, ts)), axis=0)
         )
-        assert np.abs(series - nctorus.fejer_eval(n, ts)).max() < 1e-10
-        assert nctorus.fejer_eval(n, 0.0) == pytest.approx(n + 1.0, abs=1e-12)
-        assert np.min(nctorus.fejer_eval(n, ts)) >= -1e-12
+        assert np.abs(series - oracles.fejer_eval(n, ts)).max() < 1e-10
+        assert oracles.fejer_eval(n, 0.0) == pytest.approx(n + 1.0, abs=1e-12)
+        assert np.min(oracles.fejer_eval(n, ts)) >= -1e-12
 
 
 def test_fejer_pointwise_bound():
     ts = np.linspace(-0.499, 0.499, 401)
     ts = ts[np.abs(ts) > 1e-6]
     for n in (4, 16, 64):
-        kn = nctorus.fejer_eval(n, ts)
+        kn = oracles.fejer_eval(n, ts)
         bound = np.minimum(n + 1.0, 1.0 / (4.0 * (n + 1) * ts**2))
         assert np.all(kn <= bound + 1e-9)
 
@@ -349,9 +356,9 @@ def test_fejer_integral_and_moment_quadrature():
         total = 0.0
         moment = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            total += integrate.quad(lambda t: nctorus.fejer_eval(n, t), a, b, limit=200)[0]
+            total += integrate.quad(lambda t: oracles.fejer_eval(n, t), a, b, limit=200)[0]
             moment += integrate.quad(
-                lambda t: t * nctorus.fejer_eval(n, t), a, b, limit=200
+                lambda t: t * oracles.fejer_eval(n, t), a, b, limit=200
             )[0]
         assert abs(2 * total - 1.0) < 1e-10
         assert abs(2 * moment - nctorus.fejer_abs_moment(n)) < 1e-10
@@ -373,7 +380,7 @@ def test_telescoping_identity_commutative_two_torus():
 
     grid = np.linspace(-0.5, 0.5, 1201)[:-1]
     dt = grid[1] - grid[0]
-    kn = nctorus.fejer_eval(n, grid)
+    kn = oracles.fejer_eval(n, grid)
     ces = nctorus.cesaro_mean(a, n)
     ces_cs = np.array([ces.coeffs.get(tuple(k), 0.0) for k in ks])
     for x in [(0.13, -0.29), (0.0, 0.41)]:
@@ -395,9 +402,9 @@ def test_telescoping_identity_commutative_two_torus():
 
 
 def test_rational_representation_basics(quarter):
-    one_img = nctorus.rational_representation(quarter, TP.one(quarter))
+    one_img = oracles.rational_representation(quarter, TP.one(quarter))
     assert np.array_equal(one_img, np.eye(4))
-    u, v = nctorus.rational_generators(quarter)
+    u, v = oracles.rational_generators(quarter)
     assert np.abs(v @ u - np.exp(2j * np.pi / 4) * u @ v).max() < 1e-12
     assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
 
@@ -406,7 +413,7 @@ def test_rational_representation_trace_window():
     ph = nctorus.PhaseMatrix.two_torus(1.0 / 3.0)
     dim = 3
     for k in (1, 2, 3, 4):
-        img = nctorus.rational_representation(ph, TP.monomial(ph, (k, 0)))
+        img = oracles.rational_representation(ph, TP.monomial(ph, (k, 0)))
         tr = np.trace(img) / dim
         if k % 3 == 0:
             assert abs(tr - 1.0) < 1e-12  # outside the faithful window |k| < N
@@ -421,18 +428,18 @@ def test_rational_representation_pairing_in_window(quarter):
     for _ in range(3):
         a = random_polynomial(quarter, rng, support=3, span=1)
         b = random_polynomial(quarter, rng, support=3, span=1)
-        pa = nctorus.rational_representation(quarter, a)
-        pb = nctorus.rational_representation(quarter, b)
+        pa = oracles.rational_representation(quarter, a)
+        pb = oracles.rational_representation(quarter, b)
         mat_pairing = np.trace(pb.conj().T @ pa) / dim
-        assert abs(mat_pairing - nctorus.trace_pairing(a, b)) < 1e-12
+        assert abs(mat_pairing - l2_pairing(a, b)) < 1e-12
 
 
 def test_gns_norm_dominance(quarter):
     rng = np.random.default_rng(11)
     for _ in range(5):
         a = random_polynomial(quarter, rng, support=4, span=1)
-        l2 = nctorus.gns_norm(a)
-        op = operator_norm(nctorus.rational_representation(quarter, a))
+        l2 = np.sqrt(sum(abs(c) ** 2 for c in a.coeffs.values()))
+        op = operator_norm(oracles.rational_representation(quarter, a))
         l1 = sum(abs(c) for c in a.coeffs.values())
         assert l2 <= op + 1e-10
         assert op <= l1 + 1e-10
@@ -460,16 +467,16 @@ def test_toral_map_homomorphism_against_oracle(quarter):
     lhs = nctorus.toral_map_apply(cat, u1) * nctorus.toral_map_apply(cat, u2)
     rhs = nctorus.toral_map_apply(cat, u1 * u2)
     assert lhs.support == rhs.support
-    img_l = nctorus.rational_representation(quarter, lhs)
-    img_r = nctorus.rational_representation(quarter, rhs)
+    img_l = oracles.rational_representation(quarter, lhs)
+    img_r = oracles.rational_representation(quarter, rhs)
     assert np.abs(img_l - img_r).max() < 1e-12
     # commutes with involution
     a = random_polynomial(quarter, np.random.default_rng(13), support=3, span=2)
     left = nctorus.toral_map_apply(cat, a.adjoint())
     right = nctorus.toral_map_apply(cat, a).adjoint()
     assert np.abs(
-        nctorus.rational_representation(quarter, left)
-        - nctorus.rational_representation(quarter, right)
+        oracles.rational_representation(quarter, left)
+        - oracles.rational_representation(quarter, right)
     ).max() < 1e-12
 
 
@@ -514,11 +521,11 @@ def test_polynomial_json_rejects_malformed_input(text):
 def test_rational_fraction_rejects_irrational():
     ph = nctorus.PhaseMatrix.two_torus(np.sqrt(2) / 2)
     with pytest.raises(PreconditionError):
-        nctorus.rational_generators(ph)
+        oracles.rational_generators(ph)
 
 
-def test_rational_representation_cap(monkeypatch):
-    monkeypatch.setenv("QMETRIC_CAP", "rep_dim=3")
-    ph = nctorus.PhaseMatrix.two_torus(0.25)
-    with pytest.raises(ResourceLimitError):
-        nctorus.rational_generators(ph)
+def test_rep_dim_is_an_unknown_cap(monkeypatch):
+    # the clock/shift representation is a test oracle, with no cap of its own
+    monkeypatch.setenv("QMETRIC_CAP", "rep_dim=5")
+    with pytest.raises(PreconditionError, match="unknown cap 'rep_dim'"):
+        nctorus.fejer_abs_moment(16)
