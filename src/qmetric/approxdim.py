@@ -145,6 +145,16 @@ def dim_bracket(vectors, delta: float, norm_tag: str, strict: bool = True) -> Di
     return DimBracket(float(delta), lower, max(lower, upper), norm_tag)
 
 
+def float_dim(d: int) -> float:
+    """A dimension as a float, for its logarithm: d may pass 2^64, beyond
+    numpy's integers, and one beyond the float range is a precondition error."""
+    try:
+        return float(d)
+    except OverflowError as exc:
+        raise PreconditionError(
+            f"a dimension of {d.bit_length()} bits exceeds the float range") from exc
+
+
 def mdim_regression(samples) -> tuple[float, float]:
     """Least-squares slopes of log D against log δ^{-1}.
 
@@ -159,13 +169,8 @@ def mdim_regression(samples) -> tuple[float, float]:
         raise PreconditionError("sample deltas must be strictly decreasing")
     if any(r.lower < 1 or r.upper < 1 for r in rows):
         raise PreconditionError("regression needs positive dimension values")
-    # dimensions may pass 2^64, beyond numpy's integers, so take their logs as floats
-    try:
-        dims = np.array([[float(r.lower), float(r.upper)] for r in rows])
-    except OverflowError as exc:
-        raise PreconditionError("a dimension exceeds the float range") from exc
     x = np.log(1.0 / np.asarray(deltas))
-    lo, hi = np.log(dims).T
+    lo, hi = np.log([[float_dim(r.lower), float_dim(r.upper)] for r in rows]).T
     return float(np.polyfit(x, lo, 1)[0]), float(np.polyfit(x, hi, 1)[0])
 
 

@@ -555,8 +555,7 @@ def shift_entropy_bracket(p: int, n: int, delta: float) -> tuple[float, float]:
     if not (0.0 < delta < 1.0):
         raise PreconditionError("delta must lie in (0, 1)")
     m = p ** (2 * n)
-    # D may pass 2^64, beyond numpy's integers, so take its log as a float
-    lower = np.log(float(approxdim.dim_exact_orthonormal(m, delta))) / n
+    lower = np.log(approxdim.float_dim(approxdim.dim_exact_orthonormal(m, delta))) / n
     root = int(np.ceil(np.sqrt(n)))
     upper = 2.0 * (2 * root + n) * np.log(p) / n
     return float(lower), float(upper)

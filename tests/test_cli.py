@@ -318,6 +318,8 @@ BAD_INPUTS = {
                           "--delta-grid", "0.9:0.1:3"], False),
     "three-number-pair": (["dim-bracket", "--vectors", "triple.json",
                            "--delta-grid", "0.9:0.1:3"], False),
+    # D = 2^1024 at n = 512 is beyond the float range its log is taken in
+    "shift-beyond-float": (["shift-entropy", "--n-max", "520"], False),
 }
 
 
