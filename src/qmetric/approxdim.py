@@ -155,23 +155,23 @@ def float_dim(d: int) -> float:
             f"a dimension of {d.bit_length()} bits exceeds the float range") from exc
 
 
-def mdim_regression(samples) -> tuple[float, float]:
-    """Least-squares slopes of log D against log δ^{-1}.
+def mdim_slope(rows) -> float | None:
+    """Least-squares slope of log D against -log δ over (δ, D) pairs.
 
-    samples: iterable of DimBracket with strictly decreasing δ. Returns
-    (slope of the lower series, slope of the upper series).
+    Only the rows with D ≥ 1 and 0 < δ ≤ 1 count: past δ = 1 the zero
+    subspace already approximates the ball, and a δ that underflowed to 0 has
+    no logarithm. The kept δ must strictly decrease. None when fewer than 3
+    rows remain.
     """
-    rows = list(samples)
-    if len(rows) < 3:
-        raise PreconditionError("regression needs at least 3 samples")
-    deltas = [r.delta for r in rows]
+    kept = [(delta, d) for delta, d in rows if d >= 1 and 0 < delta <= 1]
+    if len(kept) < 3:
+        return None
+    deltas = [delta for delta, _ in kept]
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise PreconditionError("sample deltas must be strictly decreasing")
-    if any(r.lower < 1 or r.upper < 1 for r in rows):
-        raise PreconditionError("regression needs positive dimension values")
-    x = np.log(1.0 / np.asarray(deltas))
-    lo, hi = np.log([[float_dim(r.lower), float_dim(r.upper)] for r in rows]).T
-    return float(np.polyfit(x, lo, 1)[0]), float(np.polyfit(x, hi, 1)[0])
+    # -log δ rather than log(1/δ), whose quotient overflows at a subnormal δ
+    y = np.log([float_dim(d) for _, d in kept])
+    return float(np.polyfit(-np.log(deltas), y, 1)[0])
 
 
 def brackets_to_csv_rows(brackets) -> list[str]:

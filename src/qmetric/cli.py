@@ -25,12 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__, approxdim, entropy, metricspace, nctorus, weyl
-from .caps import check_cap
 from .errors import PreconditionError, QMetricError
-
-# fitted once at desk scale from the Cesàro rate experiment; used to place
-# the upper-certificate scale C log n / n in torus-dim
-RATE_CONSTANT = 0.2
 
 
 def fmt(x) -> str:
@@ -97,85 +92,83 @@ def _header(command: str, params: dict, digests: dict, stamp: bool) -> list[str]
     return lines
 
 
-# ---------------------------------------------------------------- weyl-dim
+# ------------------------------------------------------- weyl-dim, torus-dim
 
 
-def run_weyl_dim(params: dict) -> tuple[list[str], dict]:
-    p = params["p"]
-    lam = params["lam"]
+def _dim_table(params: dict, family) -> tuple[list[str], dict]:
+    """The rows and slopes of a dimension experiment, one pair of rows per n.
+
+    family(n) gives (m, lip_max, delta_upper) at window radius n: the m window
+    monomials are orthonormal with Lip norms at most lip_max, so the Lip ball
+    needs at least D(m orthonormal vectors, δ) dimensions at δ/lip_max (the
+    "lower" row), and every element of it lies within delta_upper of the
+    m-dimensional window (the "upper" row).
+    """
     delta = params["delta"]
     n_min, n_max = params["n_min"], params["n_max"]
     if n_min < 1 or n_max < n_min:
         raise PreconditionError("need 1 <= n_min <= n_max")
-    lower_rows, upper_rows = [], []
     body = ["series,n,delta,dim"]
+    lower_rows, upper_rows = [], []
     for n in range(n_min, n_max + 1):
-        window = weyl.WeylWindow(p, -n, n)
-        m = p ** (2 * (2 * n + 1))
-        # the m monomials form the orthonormal family below
-        check_cap("group_enum", m, "Weyl monomial family")
-        lip_max = weyl.family_lip_max(window, lam)
+        m, lip_max, delta_upper = family(n)
         d_lower = approxdim.dim_exact_orthonormal(m, delta)
         delta_lower = delta / lip_max
-        lower_rows.append(approxdim.DimBracket(delta_lower, d_lower, d_lower, "gns-lower"))
-        delta_upper = 2.0 * lam ** (n + 1) / (1.0 - lam)
-        upper_rows.append(approxdim.DimBracket(delta_upper, m, m, "cstar-upper"))
+        lower_rows.append((delta_lower, d_lower))
+        upper_rows.append((delta_upper, m))
         body.append(f"lower,{n},{fmt_lower(delta_lower)},{d_lower}")
         body.append(f"upper,{n},{fmt_upper(delta_upper)},{m}")
-    enough = len(lower_rows) >= 3
     summary = {
-        "slope_lower": approxdim.mdim_regression(lower_rows)[0] if enough else None,
-        "slope_upper": approxdim.mdim_regression(upper_rows)[1] if enough else None,
-        "target": 4.0 * np.log(p) / np.log(1.0 / lam),
+        "slope_lower": approxdim.mdim_slope(lower_rows),
+        "slope_upper": approxdim.mdim_slope(upper_rows),
     }
     return body, summary
 
 
-# ---------------------------------------------------------------- torus-dim
+def run_weyl_dim(params: dict) -> tuple[list[str], dict]:
+    """UHF rows: the window has p^{2(2n+1)} monomials, and the conditional
+    expectation E_n onto it moves the Lip ball by at most 2λ^{n+1}/(1−λ)."""
+    p, lam = params["p"], params["lam"]
+
+    def family(n):
+        lip_max = weyl.family_lip_max(weyl.WeylWindow(p, -n, n), lam)
+        return p ** (2 * (2 * n + 1)), lip_max, 2.0 * lam ** (n + 1) / (1.0 - lam)
+
+    body, summary = _dim_table(params, family)
+    summary["target"] = 4.0 * np.log(p) / np.log(1.0 / lam)
+    return body, summary
 
 
 def run_torus_dim(params: dict) -> tuple[list[str], dict]:
+    """Noncommutative p-torus rows: the window has (2n+1)^p monomials u^k,
+    with L(u^k) = |k|₂ ≤ n√p.
+
+    The upper δ is proven. The Cesàro mean σ_n a = ∫ K_n^{⊗p}(t) γ_t(a) dt
+    lies in the window, and ‖γ_t(a) − a‖ ≤ 2π|t|₂·L(a) for t in
+    [−1/2, 1/2)^p. Since K_n ≥ 0 has integral 1 and |t|₂ ≤ |t|₁,
+    ‖σ_n a − a‖ ≤ L(a)·∫ K_n^{⊗p}(t)·2π|t|₂ dt ≤ 2π·p·μ₁(K_n)·L(a), where
+    μ₁(K_n) = ∫ |t| K_n(t) dt is fejer_abs_moment(n).
+    """
     p = params["p"]
-    delta = params["delta"]
-    n_min, n_max = params["n_min"], params["n_max"]
     if p < 1:
         raise PreconditionError(f"torus rank p must be >= 1, got {p}")
-    if n_min < 1 or n_max < n_min:
-        raise PreconditionError("need 1 <= n_min <= n_max")
-    element_summary = {}
+
+    def family(n):
+        return (2 * n + 1) ** p, n * np.sqrt(p), 2.0 * np.pi * p * nctorus.fejer_abs_moment(n)
+
+    body, summary = _dim_table(params, family)
+    summary["target"] = float(p)
     if params.get("element"):
         with open(params["element"], "r", encoding="utf-8") as fh:
             poly = nctorus.polynomial_from_json(fh.read())
         if poly.phase.p != p:
             raise PreconditionError("element lives on a torus of different rank")
         lo, hi = nctorus.lip_bounds(poly)
-        element_summary = {"element_lip_lower": lo, "element_lip_upper": hi}
+        summary.update(element_lip_lower=lo, element_lip_upper=hi)
         if params.get("element_out"):
-            smoothed = nctorus.cesaro_mean(poly, n_max)
+            smoothed = nctorus.cesaro_mean(poly, params["n_max"])
             with open(params["element_out"], "w", encoding="utf-8") as fh:
                 fh.write(nctorus.polynomial_to_json(smoothed) + "\n")
-    body = ["series,n,delta,dim"]
-    lower_rows, upper_rows = [], []
-    for n in range(n_min, n_max + 1):
-        m = (2 * n + 1) ** p
-        lip_max = n * np.sqrt(p)  # max |k|_2 over the box
-        d_lower = approxdim.dim_exact_orthonormal(m, delta)
-        delta_lower = delta / lip_max
-        lower_rows.append(approxdim.DimBracket(delta_lower, d_lower, d_lower, "gns-lower"))
-        # upper certificate at the Cesàro rate scale; log(n+1)/n keeps the
-        # grid strictly decreasing and the window certificate valid by
-        # monotonicity of D in δ
-        delta_upper = RATE_CONSTANT * np.log(n + 1.0) / n
-        upper_rows.append(approxdim.DimBracket(delta_upper, m, m, "cstar-upper"))
-        body.append(f"lower,{n},{fmt_lower(delta_lower)},{d_lower}")
-        body.append(f"upper,{n},{fmt_upper(delta_upper)},{m}")
-    enough = len(lower_rows) >= 3
-    summary = {
-        "slope_lower": approxdim.mdim_regression(lower_rows)[0] if enough else None,
-        "slope_upper": approxdim.mdim_regression(upper_rows)[1] if enough else None,
-        "target": float(p),
-    }
-    summary.update(element_summary)
     return body, summary
 
 
@@ -236,11 +229,11 @@ def run_toral_entropy(params: dict) -> tuple[list[str], dict]:
 
 def run_kolmogorov(params: dict) -> tuple[list[str], dict]:
     if params.get("points"):
-        pts = metricspace.load_points_csv(params["points"])
+        pts = metricspace.load_csv(params["points"])
         space = metricspace.FiniteMetricSpace.from_points(pts)
     elif params.get("matrix"):
         space = metricspace.FiniteMetricSpace.from_matrix(
-            metricspace.load_matrix_csv(params["matrix"])
+            metricspace.load_csv(params["matrix"])
         )
     else:
         raise PreconditionError("kolmogorov needs --points or --matrix")

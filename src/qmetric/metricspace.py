@@ -18,6 +18,7 @@ reproducible.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from math import inf
 
@@ -179,7 +180,8 @@ class BoxDimension:
 
 
 def _loglog_slope(deltas, counts) -> float:
-    x = np.log(1.0 / np.asarray(deltas, dtype=float))
+    # -log δ rather than log(1/δ), whose quotient overflows at a subnormal δ
+    x = -np.log(np.asarray(deltas, dtype=float))
     y = np.log(np.asarray(counts, dtype=float))
     return float(np.polyfit(x, y, 1)[0])
 
@@ -217,19 +219,15 @@ def parse_delta_grid(text: str) -> list[float]:
     return [float(x) for x in np.geomspace(a, b, steps)]
 
 
-def _load_csv(path) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise PreconditionError(f"{path} is not a CSV of numbers: {exc}") from exc
-
-
-def load_points_csv(path) -> np.ndarray:
-    pts = _load_csv(path)
-    if pts.size == 0:
-        raise PreconditionError(f"no points in {path}")
-    return pts
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return _load_csv(path)
+def load_csv(path) -> np.ndarray:
+    """A nonempty CSV of numbers (points, one per row, or a distance matrix)."""
+    with warnings.catch_warnings():
+        # loadtxt only warns on a file without data; the check below rejects it
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise PreconditionError(f"{path} is not a CSV of numbers: {exc}") from exc
+    if data.size == 0:
+        raise PreconditionError(f"no data in {path}")
+    return data

@@ -151,29 +151,32 @@ def test_scale_equivariance_exact():
 
 def test_mdim_regression_synthetic():
     deltas = np.geomspace(0.5, 0.01, 8)
-    rows = [ad.DimBracket(float(d), max(1, round(d**-2)), max(1, round(d**-2)), "t") for d in deltas]
-    lo, hi = ad.mdim_regression(rows)
-    assert abs(lo - 2.0) < 2e-2 and abs(hi - 2.0) < 2e-2
-    exact_rows = [ad.DimBracket(float(d), 7, 7, "t") for d in deltas]
-    lo, hi = ad.mdim_regression(exact_rows)
-    assert abs(lo) < 1e-12 and abs(hi) < 1e-12
+    rows = [(float(d), max(1, round(d**-2))) for d in deltas]
+    assert abs(ad.mdim_slope(rows) - 2.0) < 2e-2
+    assert abs(ad.mdim_slope([(float(d), 7) for d in deltas])) < 1e-12
 
 
 def test_mdim_regression_exact_powerlaw():
     # exactly log-linear data fits with slope 2 to machine precision
     deltas = [2.0**-k for k in range(1, 7)]
-    rows = [ad.DimBracket(d, int(round(d**-2)), int(round(d**-2)), "t") for d in deltas]
-    lo, hi = ad.mdim_regression(rows)
-    assert abs(lo - 2.0) < 1e-6 and abs(hi - 2.0) < 1e-6
+    assert abs(ad.mdim_slope([(d, int(round(d**-2))) for d in deltas]) - 2.0) < 1e-6
 
 
 def test_mdim_regression_preconditions():
-    rows = [ad.DimBracket(0.5, 1, 1, "t"), ad.DimBracket(0.25, 1, 1, "t")]
+    rows = [(0.5, 1), (0.25, 1)]
+    assert ad.mdim_slope(rows) is None
     with pytest.raises(PreconditionError):
-        ad.mdim_regression(rows)
-    bad = rows + [ad.DimBracket(0.25, 1, 1, "t")]
-    with pytest.raises(PreconditionError):
-        ad.mdim_regression(bad)
+        ad.mdim_slope(rows + [(0.25, 1)])
+
+
+def test_mdim_slope_skips_rows_that_say_nothing():
+    # D = 0, δ > 1 and a δ that underflowed to 0 are left out of the fit;
+    # δ = 1 stays in, and the rest is an exact power law of slope 2
+    power_law = [(2.0**-k, 4**k) for k in range(0, 5)]
+    rows = [(3.0, 1), (1.5, 2), *power_law, (0.01, 0), (0.0, 5)]
+    assert ad.mdim_slope(rows) == pytest.approx(2.0, rel=1e-12)
+    # without enough rows left there is no slope
+    assert ad.mdim_slope([(3.0, 1), (1.5, 2), (0.5, 4), (0.25, 16), (0.125, 0)]) is None
 
 
 def test_bracket_validation_and_csv():

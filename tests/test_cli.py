@@ -152,7 +152,7 @@ def test_bounds_print_on_their_safe_side(x):
 def test_bound_columns_round_toward_safety(tmp_path):
     # every printed bound against the value computed for it, on configurations
     # where rounding to nearest printed some of them on the wrong side
-    from qmetric import cli, entropy, weyl
+    from qmetric import entropy, nctorus, weyl
 
     def rows(argv):
         out = tmp_path / "out.csv"
@@ -177,15 +177,20 @@ def test_bound_columns_round_toward_safety(tmp_path):
         if series == "lower":
             assert Fraction(delta) <= Fraction(0.5 / (n * np.sqrt(3)))
         else:
-            assert Fraction(delta) >= Fraction(cli.RATE_CONSTANT * np.log(n + 1.0) / n)
+            # the Cesàro bound 2π·p·μ₁(K_n), rounded up
+            bound = 2.0 * np.pi * 3 * nctorus.fejer_abs_moment(n)
+            assert delta == fmt_upper(bound) and Fraction(delta) >= Fraction(bound)
 
 
 @pytest.mark.parametrize("p, code", [(0, 2), (-1, 2), (40, 0), (400, 2)])
 def test_torus_dim_rank(tmp_path, capsys, p, code):
     # p = 0 used to write rows with δ = inf and p = -1 to warn before failing;
-    # p = 40 reaches dimensions past 2^64, and p = 400 past the float range
+    # p = 40 reaches dimensions past 2^64, and p = 400 past the float range.
+    # At p = 40 the upper δ = 80π·μ₁(K_n) first falls to 1 at n = 191, so the
+    # upper slope needs rows up to n = 193
     out, js = tmp_path / "td.csv", tmp_path / "td.json"
-    assert run(["torus-dim", "--p", p, "--n-max", 3, "--out", out, "--json-out", js]) == code
+    n_max = 193 if p == 40 else 3
+    assert run(["torus-dim", "--p", p, "--n-max", n_max, "--out", out, "--json-out", js]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code:
@@ -194,6 +199,70 @@ def test_torus_dim_rank(tmp_path, capsys, p, code):
     else:
         summary = json.loads(js.read_text())
         assert summary["slope_lower"] <= summary["target"] == p <= summary["slope_upper"]
+
+
+def test_torus_dim_upper_rows_hold_in_a_clock_shift_representation(tmp_path):
+    # ‖π(σ_n a − a)‖ ≤ δ_upper(n)·L(a) in the representation at θ = 3/10, whose
+    # norm is at most the C*-norm; u₁^{n+1}/(n+1) lies at GNS distance 1/(n+1)
+    # from the window, so no upper row at n may carry a δ below 1/(n+1)
+    import oracles
+
+    from qmetric import nctorus
+
+    out = tmp_path / "td.csv"
+    assert run(["torus-dim", "--p", 2, "--n-max", 6, "--out", out]) == 0
+    uppers = [(int(n), float(delta)) for series, n, delta, _ in
+              (row.split(",") for row in body_of(out)[1:]) if series == "upper"]
+    assert [n for n, _ in uppers] == list(range(1, 7))
+    phase = nctorus.PhaseMatrix.two_torus(0.3)
+    rng = np.random.default_rng(7)
+    for n, delta in uppers:
+        elements = [nctorus.TwistedPolynomial.monomial(phase, (n + 1, 0), 1.0 / (n + 1))]
+        for _ in range(4):
+            keys = rng.integers(-n - 3, n + 4, size=(6, 2))
+            elements.append(nctorus.TwistedPolynomial(
+                phase, {tuple(map(int, k)): complex(*rng.standard_normal(2)) for k in keys}))
+        for a in elements:
+            gap = oracles.rational_representation(phase, nctorus.cesaro_mean(a, n) - a)
+            assert np.linalg.norm(gap, 2) <= delta * nctorus.lip_bounds(a)[1]
+
+
+def test_torus_dim_past_delta_one(tmp_path):
+    # at δ = 1.5 every lower row has D = 0, which says nothing, so there is
+    # no lower slope; the upper rows with δ ≤ 1 still give one
+    js = tmp_path / "td.json"
+    assert run(["torus-dim", "--delta", 1.5, "--out", tmp_path / "td.csv",
+                "--json-out", js]) == 0
+    summary = json.loads(js.read_text())
+    assert summary["slope_lower"] is None
+    assert summary["slope_upper"] >= summary["target"]
+
+
+def test_weyl_dim_runs_up_to_the_window_cap(tmp_path):
+    # D comes from a bisection, not an enumeration of the p^{2(2n+1)} monomials,
+    # so n runs until the 2^{2n+1}-sided window matrix meets matrix_dim
+    js = tmp_path / "weyl.json"
+    assert run(["weyl-dim", "--n-max", 6, "--out", tmp_path / "weyl.csv",
+                "--json-out", js]) == 0
+    summary = json.loads(js.read_text())
+    assert summary["slope_lower"] <= 4.0 + 1e-9 and summary["slope_upper"] >= 4.0 - 1e-9
+    assert run(["weyl-dim", "--n-max", 7, "--out", tmp_path / "weyl7.csv"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl-dim", "--delta", "1e-320"],
+    ["torus-dim", "--delta", "1e-320"],
+    ["kolmogorov", "--points", "grid.csv", "--delta-grid", "1e-320:1e-315:3"],
+], ids=["weyl-dim", "torus-dim", "kolmogorov"])
+def test_subnormal_delta_fits_finite_slopes(tmp_path, monkeypatch, capsys, argv):
+    # 1/δ overflows at a subnormal δ; its log was inf and the fit raised
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("grid.csv", np.random.default_rng(0).random((12, 2)), delimiter=",")
+    assert run([*argv, "--out", "x.csv", "--json-out", "x.json"]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads(Path("x.json").read_text())
+    slopes = [v for k, v in summary.items() if k.startswith("slope")]
+    assert len(slopes) == 2 and all(np.isfinite(slopes))
 
 
 def test_lattice_growth(tmp_path):
@@ -311,6 +380,8 @@ BAD_INPUTS = {
     "inf-delta-pad": (["lattice-growth", "--T", "2,1,1,1", "--delta-pad", "inf"], False),
     "text-points": (["kolmogorov", "--points", "text.csv", "--delta-grid", "0.3:0.1:3"], False),
     "text-matrix": (["kolmogorov", "--matrix", "text.csv", "--delta-grid", "0.3:0.1:3"], False),
+    "empty-points": (["kolmogorov", "--points", "empty.csv", "--delta-grid", "0.3:0.1:3"], False),
+    "empty-matrix": (["kolmogorov", "--matrix", "empty.csv", "--delta-grid", "0.3:0.1:3"], False),
     "element-without-theta": (["torus-dim", "--element", "no_theta.json"], False),
     "element-not-json": (["torus-dim", "--element", "text.csv"], False),
     "element-not-utf8": (["torus-dim", "--element", "binary.json"], False),
@@ -334,6 +405,7 @@ def test_bad_inputs_exit_2(tmp_path, monkeypatch, capsys, argv, hangs):
     monkeypatch.chdir(tmp_path)
     np.savetxt("grid.csv", np.random.default_rng(0).random((12, 2)), delimiter=",")
     Path("text.csv").write_text("0.1,0.2\n0.3,abc\n")
+    Path("empty.csv").write_text("")
     Path("no_theta.json").write_text('{"p": 2, "coefficients": [[[1, 0], 1.0, 0.0]]}')
     Path("triple.json").write_text("[[[1.0, 0.0, 2.0]]]")
     Path("binary.json").write_bytes(b"\xff\xfe\x00")

@@ -222,7 +222,7 @@ def test_csv_loaders(tmp_path):
     pts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
     path = tmp_path / "pts.csv"
     np.savetxt(path, pts, delimiter=",")
-    loaded = ms.load_points_csv(path)
+    loaded = ms.load_csv(path)
     assert np.allclose(loaded, pts)
 
 
