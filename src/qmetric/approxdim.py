@@ -160,17 +160,15 @@ def mdim_slope(rows) -> float | None:
 
     Only the rows with D ≥ 1 and 0 < δ ≤ 1 count: past δ = 1 the zero
     subspace already approximates the ball, and a δ that underflowed to 0 has
-    no logarithm. The kept δ must strictly decrease. None when fewer than 3
-    rows remain.
+    no logarithm. None when the rows left hold fewer than 3 distinct δ (a
+    subnormal δ divided by growing norms can round to one value twice).
     """
     kept = [(delta, d) for delta, d in rows if d >= 1 and 0 < delta <= 1]
-    if len(kept) < 3:
+    if len({delta for delta, _ in kept}) < 3:
         return None
-    deltas = [delta for delta, _ in kept]
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise PreconditionError("sample deltas must be strictly decreasing")
+    deltas, dims = zip(*kept)
     # -log δ rather than log(1/δ), whose quotient overflows at a subnormal δ
-    y = np.log([float_dim(d) for _, d in kept])
+    y = np.log([float_dim(d) for d in dims])
     return float(np.polyfit(-np.log(deltas), y, 1)[0])
 
 

@@ -163,10 +163,11 @@ def test_mdim_regression_exact_powerlaw():
 
 
 def test_mdim_regression_preconditions():
-    rows = [(0.5, 1), (0.25, 1)]
+    # a fit needs 3 distinct δ; a repeated δ is one more sample, in any order
+    rows = [(0.5, 1), (0.25, 4)]
     assert ad.mdim_slope(rows) is None
-    with pytest.raises(PreconditionError):
-        ad.mdim_slope(rows + [(0.25, 1)])
+    assert ad.mdim_slope(rows + [(0.25, 4)]) is None
+    assert ad.mdim_slope([(0.125, 16), *rows, (0.25, 4)]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_mdim_slope_skips_rows_that_say_nothing():

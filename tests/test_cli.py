@@ -252,10 +252,12 @@ def test_weyl_dim_runs_up_to_the_window_cap(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["weyl-dim", "--delta", "1e-320"],
     ["torus-dim", "--delta", "1e-320"],
+    ["torus-dim", "--delta", "1e-320", "--n-max", "100"],
     ["kolmogorov", "--points", "grid.csv", "--delta-grid", "1e-320:1e-315:3"],
-], ids=["weyl-dim", "torus-dim", "kolmogorov"])
+], ids=["weyl-dim", "torus-dim", "torus-dim-tied-deltas", "kolmogorov"])
 def test_subnormal_delta_fits_finite_slopes(tmp_path, monkeypatch, capsys, argv):
-    # 1/δ overflows at a subnormal δ; its log was inf and the fit raised
+    # 1/δ overflows at a subnormal δ; its log was inf and the fit raised. From
+    # n = 43 on, some neighbouring lower δ = 1e-320/(n√2) round to one value
     monkeypatch.chdir(tmp_path)
     np.savetxt("grid.csv", np.random.default_rng(0).random((12, 2)), delimiter=",")
     assert run([*argv, "--out", "x.csv", "--json-out", "x.json"]) == 0
