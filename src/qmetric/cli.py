@@ -102,7 +102,8 @@ def _dim_table(params: dict, family) -> tuple[list[str], dict]:
     monomials are orthonormal with Lip norms at most lip_max, so the Lip ball
     needs at least D(m orthonormal vectors, δ) dimensions at δ/lip_max (the
     "lower" row), and every element of it lies within delta_upper of the
-    m-dimensional window (the "upper" row).
+    m-dimensional window (the "upper" row). A row whose m or lip_max leaves
+    the float range is a precondition error naming its n.
     """
     delta = params["delta"]
     n_min, n_max = params["n_min"], params["n_max"]
@@ -111,7 +112,13 @@ def _dim_table(params: dict, family) -> tuple[list[str], dict]:
     body = ["series,n,delta,dim"]
     lower_rows, upper_rows = [], []
     for n in range(n_min, n_max + 1):
-        m, lip_max, delta_upper = family(n)
+        try:
+            m, lip_max, delta_upper = family(n)
+            approxdim.float_dim(m)
+            if not math.isfinite(lip_max):
+                raise PreconditionError(f"the Lip maximum {lip_max} is not finite")
+        except PreconditionError as exc:
+            raise PreconditionError(f"row n = {n}: {exc}") from None
         d_lower = approxdim.dim_exact_orthonormal(m, delta)
         delta_lower = delta / lip_max
         lower_rows.append((delta_lower, d_lower))
@@ -126,13 +133,19 @@ def _dim_table(params: dict, family) -> tuple[list[str], dict]:
 
 
 def run_weyl_dim(params: dict) -> tuple[list[str], dict]:
-    """UHF rows: the window has p^{2(2n+1)} monomials, and the conditional
-    expectation E_n onto it moves the Lip ball by at most 2λ^{n+1}/(1−λ)."""
+    """UHF rows: the window [−n, n] has p^{2(2n+1)} monomials, and the
+    conditional expectation E_n onto it moves the Lip ball by at most
+    2λ^{n+1}/(1−λ). A λ^{n+1} below the normal float range has lost digits
+    (or is 0), which would print that δ too low, so its row is an error."""
     p, lam = params["p"], params["lam"]
+    if not (0.0 < lam < 1.0):
+        raise PreconditionError("λ must lie in (0, 1)")
 
     def family(n):
-        lip_max = weyl.family_lip_max(weyl.WeylWindow(p, -n, n), lam)
-        return p ** (2 * (2 * n + 1)), lip_max, 2.0 * lam ** (n + 1) / (1.0 - lam)
+        power = lam ** (n + 1)
+        if power < sys.float_info.min:
+            raise PreconditionError(f"λ^{n + 1} = {power!r} is below the normal float range")
+        return p ** (2 * (2 * n + 1)), weyl.family_lip_max(p, n, lam), 2.0 * power / (1.0 - lam)
 
     body, summary = _dim_table(params, family)
     summary["target"] = 4.0 * np.log(p) / np.log(1.0 / lam)

@@ -307,21 +307,23 @@ def group_length(g: GroupElement, lam: float) -> float:
 def weyl_action(g: GroupElement, a: WeylElement) -> WeylElement:
     """γ_g: multiply the coefficient at (i_k, j_k) by Π_k ρ^(r_k i_k + s_k j_k).
 
-    Realized as conjugation by ⊗_k v^(r_k) u^(-s_k), which fixes u ↦ ρ^r u
-    and v ↦ ρ^s v sitewise.
+    It is conjugation by ⊗_k v^(r_k) u^(-s_k), so entrywise
+    γ_g(a)[b, c] = ρ^(s·(c-b)) a[b+r, c+r], the digits of b + r added mod p:
+    a gather through that index and a rank-one phase φφ*, φ[b] = ρ^(-s·b).
     """
     if g.window != a.window:
         raise PreconditionError("group element and element windows differ")
     p = a.window.p
-    u, v = clock_shift(p)
-    conj = np.array([[1.0 + 0j]])
+    digit = np.arange(p)
+    src, expo = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.int64)
     for r, s in g.pairs:
-        w_site = np.linalg.matrix_power(v, r) @ np.linalg.matrix_power(u, (-s) % p)
-        conj = np.kron(conj, w_site)
-    return WeylElement(a.window, conj @ a.matrix @ conj.conj().T)
+        src = (src[:, None] * p + (digit + r) % p).ravel()
+        expo = (expo[:, None] + s * digit).ravel() % p
+    phase = np.exp(-2j * np.pi / p * expo)
+    return WeylElement(a.window, a.matrix[np.ix_(src, src)] * np.outer(phase, phase.conj()))
 
 
-def _enumerate_group(p: int, n_coords: int, chunk: int = 1 << 16):
+def _enumerate_group(p: int, n_coords: int, chunk: int):
     """Yield chunks of all vectors in Z_p^n_coords as int64 arrays."""
     total = p**n_coords
     powers = p ** np.arange(n_coords - 1, -1, -1, dtype=np.int64)
@@ -330,17 +332,15 @@ def _enumerate_group(p: int, n_coords: int, chunk: int = 1 << 16):
         yield (idx[:, None] // powers[None, :]) % p
 
 
-def _fiber_minima(chars: np.ndarray, lens: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct character rows (entries in Z_p), in lexicographic order, and the
-    minimal length over each one's fiber.
+def _fiber_minima(chars: np.ndarray, lens: np.ndarray, p: int) -> np.ndarray:
+    """Row index of one shortest row per distinct character row (entries in
+    Z_p), the distinct rows in lexicographic order.
 
     Each row is packed into int64 words of ⌊63/b⌋ columns at b = (p-1).bit_length()
-    bits per column, most significant column first. One lexsort of the words
-    orders the rows lexicographically, a fiber starts wherever the words
-    change, and np.minimum.reduceat takes each fiber's minimum.
+    bits per column, most significant column first. One lexsort orders the rows
+    by their words and then by length, a fiber starts wherever the words
+    change, and its first row is a shortest one.
     """
-    if len(chars) == 0:
-        return chars, lens
     bits = (p - 1).bit_length()
     per_word = 63 // bits
     words = []
@@ -348,12 +348,11 @@ def _fiber_minima(chars: np.ndarray, lens: np.ndarray, p: int) -> tuple[np.ndarr
         block = chars[:, start:start + per_word].astype(np.int64)
         shifts = bits * np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)
         words.append((block << shifts).sum(axis=1))
-    order = np.lexsort(words[::-1])
+    order = np.lexsort([lens] + words[::-1])
     keys = np.stack(words)[:, order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(new)
-    return chars[order[starts]], np.minimum.reduceat(lens[order], starts)
+    return order[new]
 
 
 def weyl_lip_norm(a: WeylElement, lam: float) -> float:
@@ -362,13 +361,13 @@ def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     The supremum runs over all p^(2W) group elements. Since
     γ_g(a) - a = Σ_m c_m (χ_m(g) - 1) m depends on g only through the
     character values on the coefficient support, elements are grouped by
-    character fiber, and a fiber's value is one operator norm divided by
-    the minimal ℓ_λ over the fiber. Monomials are unitary, so
-    Σ_m |c_m (χ_m - 1)| / ℓ_min bounds a fiber's value from above. Fibers
-    are visited in descending order of that bound, and the visit stops at
-    the first bound below the supremum so far (with a relative margin of
-    1e-12, so near-ties are still computed). No skipped fiber can exceed
-    the result, which is the exact supremum.
+    character fiber, and a fiber's value is ‖γ_g(a) - a‖ / ℓ_λ(g) at one
+    shortest g in it. Monomials are unitary, so Σ_m |c_m (χ_m - 1)| / ℓ_min
+    bounds a fiber's value from above. Fibers are visited in descending order
+    of that bound, and the visit stops at the first bound below the supremum
+    so far (with a relative margin of 1e-12, so near-ties are still
+    computed). No skipped fiber can exceed the result, which is the exact
+    supremum.
     """
     if not (0.0 < lam < 1.0):
         raise PreconditionError("λ must lie in (0, 1)")
@@ -389,19 +388,20 @@ def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     ell_table = np.hypot(np.minimum(rr, p - rr) / p, np.minimum(ss, p - ss) / p)
 
     char_dtype = np.min_scalar_type(p - 1)
-    chunks = []
-    for G in _enumerate_group(p, 2 * W):
-        r = G[:, 0::2]
-        s = G[:, 1::2]
-        lens = (ell_table[r, s] * site_weights[None, :]).sum(axis=1)
+    # group rows per chunk: at most 2^22 int64 characters (32 MiB) in G @ E.T
+    chunk = min(1 << 16, max(1, (1 << 22) // len(support)))
+    picked = []
+    for G in _enumerate_group(p, 2 * W, chunk):
+        lens = (ell_table[G[:, 0::2], G[:, 1::2]] * site_weights[None, :]).sum(axis=1)
         chars = ((G @ E.T) % p).astype(char_dtype)
-        nonzero = chars.any(axis=1)
-        chunks.append(_fiber_minima(chars[nonzero], lens[nonzero], p))
-    fibers, ell_min = _fiber_minima(np.concatenate([f for f, _ in chunks]),
-                                    np.concatenate([b for _, b in chunks]), p)
+        rows = _fiber_minima(chars, lens, p)
+        picked.append((G[rows], chars[rows], lens[rows]))
+    reps, fibers, ell_min = (np.concatenate(parts) for parts in zip(*picked))
+    # fibers sort lexicographically: the first is the identity's, all characters 0
+    rows = _fiber_minima(fibers, ell_min, p)[1:]
+    reps, fibers, ell_min = reps[rows], fibers[rows], ell_min[rows]
 
     rho = np.exp(2j * np.pi / p)
-    monos = np.stack([weyl_monomial(w, exps).matrix for exps, _ in support])
     values = np.array([c for _, c in support])
 
     def factors(t):
@@ -414,8 +414,8 @@ def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     for i in np.argsort(-bound, kind="stable"):
         if bound[i] * (1.0 + 1e-12) < sup:
             break
-        diff = np.tensordot(factors(fibers[i]), monos, axes=1)
-        sup = max(sup, operator_norm(diff) / ell_min[i])
+        g = GroupElement(w, tuple(zip(reps[i, 0::2].tolist(), reps[i, 1::2].tolist())))
+        sup = max(sup, operator_norm(weyl_action(g, a).matrix - a.matrix) / ell_min[i])
     return float(sup)
 
 
@@ -443,21 +443,20 @@ def monomial_lip_norm(window: WeylWindow, exponents, lam: float) -> float:
     return best
 
 
-def family_lip_max(window: WeylWindow, lam: float) -> float:
-    """max of monomial_lip_norm over every monomial on the window, the same float.
+def family_lip_max(p: int, reach: int, lam: float) -> float:
+    """max of monomial_lip_norm over every monomial on a window whose outermost
+    site is ±reach, the same float.
 
-    A monomial's L is the largest of its per-site terms, each divided by
-    λ^|site|, so the largest over the family sits on a monomial supported on
-    one outermost site: p² − 1 evaluations instead of p^(2W).
+    Every per-site term |ρ^(r i + s j) - 1| / (λ^|site| ℓ(r, s)) is at most
+    max_t |ρ^t - 1| / (λ^reach ℓ(1, 0)), which (i, j) = (t, 0) on the outermost
+    site attains, as ℓ(1, 0) = 1/p is the least nonzero length. Rounding is
+    monotone, so the float maximum is that one quotient.
     """
-    p = window.p
-    edge = max(range(window.n_sites), key=lambda k: abs(window.sites[k]))
-    best = 0.0
-    for i in range(p):
-        for j in range(p):
-            if (i, j) == (0, 0):
-                continue
-            exps = [(0, 0)] * window.n_sites
-            exps[edge] = (i, j)
-            best = max(best, monomial_lip_norm(window, exps, lam))
-    return best
+    if p < 2:
+        raise PreconditionError(f"p must be >= 2, got {p}")
+    if not (0.0 < lam < 1.0):
+        raise PreconditionError("λ must lie in (0, 1)")
+    check_cap("group_enum", p, "Weyl site characters")
+    rho = np.exp(2j * np.pi / p)
+    num = max(abs(rho ** t - 1.0) for t in range(1, p))
+    return float(num) / (lam ** abs(reach) * site_length(p, 1, 0))

@@ -48,6 +48,20 @@ def gns_vector(a: WeylElement) -> np.ndarray:
     return vec
 
 
+def conjugation_action(g: weyl.GroupElement, a: WeylElement) -> WeylElement:
+    """γ_g(a) as conjugation by ⊗_k v^(r_k) u^(-s_k), the unitary built from
+    clock_shift by matrix powers and Kronecker products."""
+    if g.window != a.window:
+        raise PreconditionError("group element and element windows differ")
+    p = a.window.p
+    u, v = weyl.clock_shift(p)
+    conj = np.array([[1.0 + 0j]])
+    for r, s in g.pairs:
+        w_site = np.linalg.matrix_power(v, r) @ np.linalg.matrix_power(u, (-s) % p)
+        conj = np.kron(conj, w_site)
+    return WeylElement(a.window, conj @ a.matrix @ conj.conj().T)
+
+
 def weyl_unitary_family(window: WeylWindow) -> list[Exponents]:
     """All monomial exponent tuples on the window (the elementary-tensor family)."""
     p = window.p

@@ -168,7 +168,7 @@ def test_bound_columns_round_toward_safety(tmp_path):
         for series, n, delta, _ in rows(["weyl-dim", "--lam", lam, "--n-max", 3]):
             n = int(n)
             if series == "lower":
-                lip = weyl.family_lip_max(weyl.WeylWindow(2, -n, n), lam)
+                lip = weyl.family_lip_max(2, n, lam)
                 assert Fraction(delta) <= Fraction(0.5 / lip)
             else:
                 assert Fraction(delta) >= Fraction(2.0 * lam ** (n + 1) / (1.0 - lam))
@@ -238,15 +238,32 @@ def test_torus_dim_past_delta_one(tmp_path):
     assert summary["slope_upper"] >= summary["target"]
 
 
-def test_weyl_dim_runs_up_to_the_window_cap(tmp_path):
+def test_weyl_dim_runs_up_to_the_window_cap(tmp_path, capsys):
     # D comes from a bisection, not an enumeration of the p^{2(2n+1)} monomials,
-    # so n runs until the 2^{2n+1}-sided window matrix meets matrix_dim
-    js = tmp_path / "weyl.json"
-    assert run(["weyl-dim", "--n-max", 6, "--out", tmp_path / "weyl.csv",
-                "--json-out", js]) == 0
-    summary = json.loads(js.read_text())
-    assert summary["slope_lower"] <= 4.0 + 1e-9 and summary["slope_upper"] >= 4.0 - 1e-9
-    assert run(["weyl-dim", "--n-max", 7, "--out", tmp_path / "weyl7.csv"]) == 3
+    # and no window matrix is built, so n runs until m = 4^{2n+1} leaves the
+    # float range its log is taken in: n = 255 is the last row
+    for n_max in (7, 255):
+        js = tmp_path / "weyl.json"
+        assert run(["weyl-dim", "--n-max", n_max, "--out", tmp_path / "weyl.csv",
+                    "--json-out", js]) == 0
+        summary = json.loads(js.read_text())
+        assert summary["slope_lower"] <= 4.0 + 1e-9 and summary["slope_upper"] >= 4.0 - 1e-9
+    capsys.readouterr()
+    assert run(["weyl-dim", "--n-max", 300, "--out", tmp_path / "weyl300.csv"]) == 2
+    assert capsys.readouterr().err.startswith("qmetric: error: row n = 256: ")
+    assert not (tmp_path / "weyl300.csv").exists()
+
+
+@pytest.mark.parametrize("lam, n", [("1e-300", 1), ("1e-160", 1), ("1e-100", 3)])
+def test_weyl_dim_rejects_a_lambda_power_below_the_normal_range(tmp_path, capsys, lam, n):
+    # λ^{n+1} underflows to 0 (1e-300; 1e-100 at n = 3, after two good rows) or
+    # to a subnormal that lost digits (1e-160: λ² = 1e-320 printed an upper δ of
+    # 1.99997773437e-320, below 2λ²/(1−λ)): no row may print such a δ
+    out = tmp_path / "weyl.csv"
+    assert run(["weyl-dim", "--lam", lam, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qmetric: error: row n = {n}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

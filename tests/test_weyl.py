@@ -244,6 +244,27 @@ def test_weyl_action_matches_coefficient_rule():
         assert abs(acted[exps] - character * c) < 1e-10
 
 
+@st.composite
+def action_cases(draw):
+    """A random group element and a random dense element on a window of 1-3
+    sites at p ∈ {2, 3, 4, 6, 7}."""
+    p = draw(st.sampled_from([2, 3, 4, 6, 7]))
+    lo = draw(st.integers(-3, 2))
+    w = weyl.WeylWindow(p, lo, lo + draw(st.integers(0, 2)))
+    pairs = tuple((draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1)))
+                  for _ in range(w.n_sites))
+    a = random_element(w, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return weyl.GroupElement(w, pairs), a
+
+
+@settings(max_examples=60, deadline=None)
+@given(action_cases())
+def test_weyl_action_equals_the_conjugation(case):
+    g, a = case
+    moved = weyl.weyl_action(g, a).matrix
+    assert np.abs(moved - oracles.conjugation_action(g, a).matrix).max() <= 1e-12 * max_entry(a)
+
+
 def test_lip_norm_scalar_is_zero():
     w = weyl.WeylWindow(2, 0, 1)
     a = weyl.WeylElement(w, (2.0 - 1.0j) * np.eye(4))
@@ -271,11 +292,21 @@ def test_lip_norm_scales_with_site():
 
 
 @pytest.mark.parametrize("p, lo, hi, lam", [(2, -1, 1, 0.5), (2, -2, 2, 0.5), (2, -2, 2, 0.9),
-                                             (3, -1, 1, 0.3), (2, -2, 1, 0.6)])
+                                             (3, -1, 1, 0.3), (2, -2, 1, 0.6), (4, -1, 0, 0.7),
+                                             (5, 0, 1, 0.45), (6, 2, 2, 0.5), (7, -1, 0, 0.35),
+                                             (12, -3, -3, 0.8)])
 def test_family_lip_max_equals_max_over_the_family(p, lo, hi, lam):
     w = weyl.WeylWindow(p, lo, hi)
     want = max(weyl.monomial_lip_norm(w, exps, lam) for exps in oracles.weyl_unitary_family(w))
-    assert weyl.family_lip_max(w, lam) == want
+    assert weyl.family_lip_max(p, max(-lo, hi), lam) == want
+
+
+def test_family_lip_max_checks_p_and_lambda():
+    with pytest.raises(PreconditionError):
+        weyl.family_lip_max(1, 1, 0.5)
+    for lam in (0.0, 1.0, float("nan")):
+        with pytest.raises(PreconditionError):
+            weyl.family_lip_max(2, 1, lam)
 
 
 def test_monomial_lip_matches_exhaustive():
@@ -346,6 +377,34 @@ def test_conditional_expectation_error_bound():
         assert resid <= lip * 2 * lam ** (n + 1) / (1 - lam) + 1e-9
 
 
+def test_expectation_error_bound_on_full_support_elements():
+    # the certificate behind weyl-dim's upper rows, ||a - E_n a|| <= 2λ^{n+1}/(1-λ)·L(a),
+    # on dense elements, whose Lip norms visit the most fibers
+    rng = np.random.default_rng(23)
+    lam = 0.5
+    for lo, hi in [(-2, 2)] * 6 + [(-1, 2)] * 6:
+        a = random_element(weyl.WeylWindow(2, lo, hi), rng)
+        lip = weyl.weyl_lip_norm(a, lam)
+        for n in (0, 1):
+            resid = operator_norm(a.matrix - weyl.conditional_expectation(a, n).matrix)
+            assert resid <= 2 * lam ** (n + 1) / (1 - lam) * lip
+
+
+def test_lip_norm_memory_at_full_support():
+    # a p = 2, W = 6 element has 4 095 monomials; a k×d×d stack of them alone is
+    # 256 MiB, and a 65 536-row block of int64 characters 128 MiB
+    import tracemalloc
+
+    a = random_element(weyl.WeylWindow(2, 0, 5), np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        weyl.weyl_lip_norm(a, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2**20
+
+
 def test_shift_and_embed():
     u, _ = weyl.clock_shift(2)
     a = weyl.WeylElement(weyl.WeylWindow(2, 0, 0), u)
@@ -376,14 +435,14 @@ def test_bad_lambda_rejected():
 
 def brute_force_lip(a, lam):
     """sup over g ≠ e of ‖γ_g(a) - a‖ / ℓ_λ(g): every group element acts by
-    conjugation and the operator-norm ratio is taken directly."""
+    the reference conjugation and the operator-norm ratio is taken directly."""
     w = a.window
     best = 0.0
     for pairs in itertools.product(itertools.product(range(w.p), repeat=2), repeat=w.n_sites):
         g = weyl.GroupElement(w, pairs)
         if g.is_identity:
             continue
-        num = operator_norm(weyl.weyl_action(g, a).matrix - a.matrix)
+        num = operator_norm(oracles.conjugation_action(g, a).matrix - a.matrix)
         best = max(best, num / weyl.group_length(g, lam))
     return best
 
@@ -569,10 +628,9 @@ def test_fiber_minima_against_unique_rows(p, k):
     pool[3] = 0
     chars = pool[rng.integers(0, len(pool), size=600)]
     lens = rng.choice([0.125, 0.25, 0.5, 1.0], size=600)  # many ties
-    fibers, best = weyl._fiber_minima(chars, lens, p)
+    # one picked row per fiber, in the oracle's order, each a shortest member
+    rows = weyl._fiber_minima(chars, lens, p)
     want_fibers, want_best = fiber_minima_oracle(chars, lens)
-    assert fibers.dtype == dtype
-    assert np.array_equal(fibers, want_fibers)
-    assert np.array_equal(best, want_best)
-    empty_fibers, empty_best = weyl._fiber_minima(chars[:0], lens[:0], p)
-    assert empty_fibers.shape == (0, k) and empty_best.shape == (0,)
+    assert np.array_equal(chars[rows], want_fibers)
+    assert np.array_equal(lens[rows], want_best)
+    assert weyl._fiber_minima(chars[:0], lens[:0], p).shape == (0,)
