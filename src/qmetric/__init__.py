@@ -7,8 +7,8 @@ Subpackages by subject:
   the unimodular check).
 - weyl: finite clock-and-shift matrix algebras on site windows, the
   product Weyl action, weighted length functions, conditional
-  expectations, and exact Lip seminorms as a supremum over character
-  fibers, pruned by a bound no skipped fiber can beat.
+  expectations, and exact Lip seminorms as a supremum over the finite
+  group, pruned by a bound no skipped element can beat.
 - nctorus: twisted polynomials over Z^p with bicharacter phases, torus
   action Lip brackets, the Fejér moment and Cesàro means, toral maps, and
   the twisted-polynomial JSON format.

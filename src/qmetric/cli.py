@@ -34,19 +34,19 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _fmt_directed(x, rounding: str) -> str:
-    """x as fmt prints it, but rounded to 12 significant digits in the
-    direction of the decimal module's ``rounding`` mode, decided on the exact
-    value of the float."""
-    x = float(x)
-    if x == 0 or not math.isfinite(x):  # printed exactly, -0 included
-        return fmt(x)
+def _fmt_directed(x, rounding: str, divisor=1.0) -> str:
+    """x / divisor as fmt prints it, but rounded to 12 significant digits in
+    the direction of the decimal module's ``rounding`` mode, decided on the
+    exact quotient of the two floats."""
+    x, divisor = float(x), float(divisor)
+    if x == 0 or not (math.isfinite(x) and math.isfinite(divisor)):
+        return fmt(x / divisor)  # printed exactly, -0 included
     # decimal is imported only by the experiments that print bounds
     from decimal import Decimal, localcontext
 
     with localcontext() as ctx:
         ctx.prec, ctx.rounding = 12, rounding
-        d = (+Decimal(x)).normalize()
+        d = (Decimal(x) / Decimal(divisor)).normalize()
     sign, digits, exp = d.as_tuple()
     lead = len(digits) - 1 + exp  # the exponent of the leading digit
     if -4 <= lead < 12:  # where '.12g' prints fixed-point
@@ -57,9 +57,10 @@ def _fmt_directed(x, rounding: str) -> str:
     return f"{'-' if sign else ''}{mantissa}e{lead:+03d}"
 
 
-def fmt_lower(x) -> str:
-    """A lower bound x, printed at most x: 12 digits rounded toward -inf."""
-    return _fmt_directed(x, "ROUND_FLOOR")
+def fmt_lower(x, divisor=1.0) -> str:
+    """A lower bound x / divisor, printed at most the exact quotient: 12 digits
+    rounded toward -inf."""
+    return _fmt_directed(x, "ROUND_FLOOR", divisor)
 
 
 def fmt_upper(x) -> str:
@@ -102,8 +103,9 @@ def _dim_table(params: dict, family) -> tuple[list[str], dict]:
     monomials are orthonormal with Lip norms at most lip_max, so the Lip ball
     needs at least D(m orthonormal vectors, δ) dimensions at δ/lip_max (the
     "lower" row), and every element of it lies within delta_upper of the
-    m-dimensional window (the "upper" row). A row whose m or lip_max leaves
-    the float range is a precondition error naming its n.
+    m-dimensional window (the "upper" row). A lower row prints the floor of
+    the exact quotient δ/lip_max; its float feeds the slope. A row whose m or
+    lip_max leaves the float range is a precondition error naming its n.
     """
     delta = params["delta"]
     n_min, n_max = params["n_min"], params["n_max"]
@@ -120,10 +122,9 @@ def _dim_table(params: dict, family) -> tuple[list[str], dict]:
         except PreconditionError as exc:
             raise PreconditionError(f"row n = {n}: {exc}") from None
         d_lower = approxdim.dim_exact_orthonormal(m, delta)
-        delta_lower = delta / lip_max
-        lower_rows.append((delta_lower, d_lower))
+        lower_rows.append((delta / lip_max, d_lower))
         upper_rows.append((delta_upper, m))
-        body.append(f"lower,{n},{fmt_lower(delta_lower)},{d_lower}")
+        body.append(f"lower,{n},{fmt_lower(delta, lip_max)},{d_lower}")
         body.append(f"upper,{n},{fmt_upper(delta_upper)},{m}")
     summary = {
         "slope_lower": approxdim.mdim_slope(lower_rows),

@@ -9,8 +9,9 @@ diag(1, ρ, ..., ρ^(p-1)), ρ = exp(2πi/p), and v is the cyclic shift with
 The product group (Z_p × Z_p)^window acts by γ_{(r,s)}(u) = ρ^r u,
 γ_{(r,s)}(v) = ρ^s v sitewise; with the weighted length
 ℓ_λ(g) = Σ_k λ^|k| ℓ(g_k) (ℓ the Euclidean distance to 0 on R²/Z²) this
-yields an exact Lip seminorm as a supremum over the finite group, taken
-fiber by fiber and pruned by an upper bound that no skipped fiber can beat.
+yields an exact Lip seminorm as a supremum over the finite group, visited
+in descending order of the triangle bound and pruned once no remaining
+element can beat it.
 
 Monomial exponents are tuples of (i, j) pairs, one pair per site in window
 order. The coefficient basis is the ground truth for GNS vectors.
@@ -166,8 +167,7 @@ def _diagonal_columns(p: int, digits: np.ndarray, shifts: np.ndarray) -> np.ndar
     return cols
 
 
-# entries per batched array (diagonals in weyl_expand, fiber factors in
-# weyl_lip_norm): about 1 MB of complex128
+# entries per batch of diagonals in weyl_expand: about 1 MB of complex128
 _BATCH_ENTRIES = 1 << 16
 # weyl_expand keeps a coefficient above this fraction of the largest matrix entry
 _EXPAND_TOL = 1e-13
@@ -323,57 +323,27 @@ def weyl_action(g: GroupElement, a: WeylElement) -> WeylElement:
     return WeylElement(a.window, a.matrix[np.ix_(src, src)] * np.outer(phase, phase.conj()))
 
 
-def _enumerate_group(p: int, n_coords: int, chunk: int):
-    """Yield chunks of all vectors in Z_p^n_coords as int64 arrays."""
-    total = p**n_coords
-    powers = p ** np.arange(n_coords - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield (idx[:, None] // powers[None, :]) % p
-
-
-def _fiber_minima(chars: np.ndarray, lens: np.ndarray, p: int) -> np.ndarray:
-    """Row index of one shortest row per distinct character row (entries in
-    Z_p), the distinct rows in lexicographic order.
-
-    Each row is packed into int64 words of ⌊63/b⌋ columns at b = (p-1).bit_length()
-    bits per column, most significant column first. One lexsort orders the rows
-    by their words and then by length, a fiber starts wherever the words
-    change, and its first row is a shortest one.
-    """
-    bits = (p - 1).bit_length()
-    per_word = 63 // bits
-    words = []
-    for start in range(0, chars.shape[1], per_word):
-        block = chars[:, start:start + per_word].astype(np.int64)
-        shifts = bits * np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)
-        words.append((block << shifts).sum(axis=1))
-    order = np.lexsort([lens] + words[::-1])
-    keys = np.stack(words)[:, order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    return order[new]
-
-
 def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     """Exact L(a) = sup over nonidentity g of ‖γ_g(a) - a‖ / ℓ_λ(g).
 
     The supremum runs over all p^(2W) group elements. Since
-    γ_g(a) - a = Σ_m c_m (χ_m(g) - 1) m depends on g only through the
-    character values on the coefficient support, elements are grouped by
-    character fiber, and a fiber's value is ‖γ_g(a) - a‖ / ℓ_λ(g) at one
-    shortest g in it. Monomials are unitary, so Σ_m |c_m (χ_m - 1)| / ℓ_min
-    bounds a fiber's value from above. Fibers are visited in descending order
-    of that bound, and the visit stops at the first bound below the supremum
-    so far (with a relative margin of 1e-12, so near-ties are still
-    computed). No skipped fiber can exceed the result, which is the exact
-    supremum.
+    γ_g(a) - a = Σ_m c_m (χ_m(g) - 1) m and monomials are unitary,
+    B(g) / ℓ_λ(g) with B(g) = Σ_m |c_m (χ_m(g) - 1)| bounds g's ratio from
+    above. Elements are visited in stable descending order of that bound, and
+    the visit stops at the first bound below the supremum so far (with a
+    relative margin of 1e-12, so near-ties are still computed). No skipped
+    element can exceed the result, which is the exact supremum.
+
+    γ_g(a) - a depends on g only through its characters χ_m(g), and the
+    elements of one character fiber share B bit for bit. So a fiber is first
+    visited at a shortest member, and a later one is skipped without a norm.
     """
     if not (0.0 < lam < 1.0):
         raise PreconditionError("λ must lie in (0, 1)")
     w = a.window
     p, W = w.p, w.n_sites
-    check_cap("group_enum", p ** (2 * W), "Weyl group enumeration")
+    total = p ** (2 * W)
+    check_cap("group_enum", total, "Weyl group enumeration")
 
     coeffs = weyl_expand(a)
     support = [(exps, c) for exps, c in coeffs.data.items() if any(pair != (0, 0) for pair in exps)]
@@ -386,36 +356,32 @@ def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     # per-site length table ℓ(r, s) for r, s in Z_p
     rr, ss = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     ell_table = np.hypot(np.minimum(rr, p - rr) / p, np.minimum(ss, p - ss) / p)
-
-    char_dtype = np.min_scalar_type(p - 1)
-    # group rows per chunk: at most 2^22 int64 characters (32 MiB) in G @ E.T
-    chunk = min(1 << 16, max(1, (1 << 22) // len(support)))
-    picked = []
-    for G in _enumerate_group(p, 2 * W, chunk):
-        lens = (ell_table[G[:, 0::2], G[:, 1::2]] * site_weights[None, :]).sum(axis=1)
-        chars = ((G @ E.T) % p).astype(char_dtype)
-        rows = _fiber_minima(chars, lens, p)
-        picked.append((G[rows], chars[rows], lens[rows]))
-    reps, fibers, ell_min = (np.concatenate(parts) for parts in zip(*picked))
-    # fibers sort lexicographically: the first is the identity's, all characters 0
-    rows = _fiber_minima(fibers, ell_min, p)[1:]
-    reps, fibers, ell_min = reps[rows], fibers[rows], ell_min[rows]
-
+    # |c_m (ρ^t - 1)| for every monomial m and character t in Z_p
     rho = np.exp(2j * np.pi / p)
-    values = np.array([c for _, c in support])
+    term_table = np.abs(np.array([c for _, c in support])[:, None] * (rho ** np.arange(p) - 1.0))
+    powers = p ** np.arange(2 * W - 1, -1, -1, dtype=np.int64)
+    # ℓ_λ(g) and the triangle numerator B(g) of every group element g
+    lens, num = np.empty(total), np.empty(total)
+    # group rows per chunk: at most 2^20 int64 characters (8 MiB) in G @ E.T
+    chunk = min(1 << 16, max(1, (1 << 20) // len(E)))
+    for start in range(0, total, chunk):
+        G = (np.arange(start, min(start + chunk, total), dtype=np.int64)[:, None] // powers) % p
+        lens[start:start + len(G)] = (ell_table[G[:, 0::2], G[:, 1::2]] * site_weights).sum(axis=1)
+        num[start:start + len(G)] = term_table[np.arange(len(E)), (G @ E.T) % p].sum(axis=1)
 
-    def factors(t):
-        return values * (rho ** t.astype(np.int64) - 1.0)
-
-    step = max(1, _BATCH_ENTRIES // len(support))
-    bound = np.concatenate([np.abs(factors(fibers[i:i + step])).sum(axis=1)
-                            for i in range(0, len(fibers), step)]) / ell_min
     sup = 0.0
-    for i in np.argsort(-bound, kind="stable"):
-        if bound[i] * (1.0 + 1e-12) < sup:
+    taken: dict[float, list[np.ndarray]] = {}  # visited elements by their B
+    # element 0 is the identity
+    for i in 1 + np.argsort(-(num[1:] / lens[1:]), kind="stable"):
+        if num[i] / lens[i] * (1.0 + 1e-12) < sup:
             break
-        g = GroupElement(w, tuple(zip(reps[i, 0::2].tolist(), reps[i, 1::2].tolist())))
-        sup = max(sup, operator_norm(weyl_action(g, a).matrix - a.matrix) / ell_min[i])
+        g = (i // powers) % p
+        mates = taken.setdefault(num[i], [])
+        if any(((E @ (g - h)) % p == 0).all() for h in mates):
+            continue
+        mates.append(g)
+        elem = GroupElement(w, tuple(zip(g[0::2].tolist(), g[1::2].tolist())))
+        sup = max(sup, operator_norm(weyl_action(elem, a).matrix - a.matrix) / lens[i])
     return float(sup)
 
 

@@ -169,13 +169,18 @@ def test_bound_columns_round_toward_safety(tmp_path):
             n = int(n)
             if series == "lower":
                 lip = weyl.family_lip_max(2, n, lam)
-                assert Fraction(delta) <= Fraction(0.5 / lip)
+                assert Fraction(delta) <= Fraction(0.5) / Fraction(lip)
             else:
                 assert Fraction(delta) >= Fraction(2.0 * lam ** (n + 1) / (1.0 - lam))
+    # at δ = 1e-320 the float quotient δ/lip_max is subnormal, and rounding it
+    # to nearest printed 42 of the 100 lower rows above the exact quotient
+    for series, n, delta, _ in rows(["torus-dim", "--delta", 1e-320, "--n-max", 100]):
+        if series == "lower":
+            assert Fraction(delta) <= Fraction(1e-320) / Fraction(int(n) * np.sqrt(2))
     for series, n, delta, _ in rows(["torus-dim", "--p", 3, "--n-max", 6]):
         n = int(n)
         if series == "lower":
-            assert Fraction(delta) <= Fraction(0.5 / (n * np.sqrt(3)))
+            assert Fraction(delta) <= Fraction(0.5) / Fraction(n * np.sqrt(3))
         else:
             # the Cesàro bound 2π·p·μ₁(K_n), rounded up
             bound = 2.0 * np.pi * 3 * nctorus.fejer_abs_moment(n)
