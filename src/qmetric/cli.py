@@ -225,14 +225,15 @@ def run_toral_entropy(params: dict) -> tuple[list[str], dict]:
     T = _parse_matrix(params["T"])
     m, n, tail = params["m"], params["n"], params["tail"]
     series = entropy.lattice_orbit_card(T, m, n)
-    est = entropy.entropy_slope(series, tail)
+    slope = entropy.entropy_slope(series, tail)
+    diffs = series.log_diffs()
     body = ["n,card,log_diff"]
     for i, c in enumerate(series.counts, start=1):
-        diff = fmt(est.diffs[i - 2]) if i >= 2 else ""
+        diff = fmt(diffs[i - 2]) if i >= 2 else ""
         body.append(f"{i},{c},{diff}")
     summary = {
         "eigen_entropy": entropy.eigen_entropy(T),
-        "slope": est.slope,
+        "slope": slope,
         "tail": tail,
     }
     return body, summary

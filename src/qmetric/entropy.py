@@ -39,7 +39,6 @@ from .linalg import as_unimodular, int_matmul
 __all__ = [
     "LatticeSet",
     "GrowthSeries",
-    "EntropyEstimate",
     "minkowski_sum",
     "lattice_orbit_card",
     "eigen_entropy",
@@ -218,12 +217,6 @@ class GrowthSeries:
 
     def log_diffs(self) -> list[float]:
         return [float(np.log(b / a)) for a, b in zip(self.counts, self.counts[1:])]
-
-
-@dataclass(frozen=True)
-class EntropyEstimate:
-    slope: float
-    diffs: tuple[float, ...]
 
 
 def lattice_orbit_card(T, m: int, n: int) -> GrowthSeries:
@@ -528,7 +521,7 @@ def box_bound_card(T, m: int, n: int, delta_pad: float = 0.0) -> float:
     return bound
 
 
-def entropy_slope(series: GrowthSeries, tail: int) -> EntropyEstimate:
+def entropy_slope(series: GrowthSeries, tail: int) -> float:
     """Least-squares slope of log c_n against n over the last ``tail`` points."""
     if tail < 3:
         raise PreconditionError("tail must be >= 3")
@@ -537,8 +530,7 @@ def entropy_slope(series: GrowthSeries, tail: int) -> EntropyEstimate:
         raise PreconditionError(f"series has {len(counts)} < tail={tail} points")
     y = np.log(np.asarray(counts[-tail:], dtype=float))
     x = np.arange(len(counts) - tail + 1, len(counts) + 1, dtype=float)
-    slope = float(np.polyfit(x, y, 1)[0])
-    return EntropyEstimate(slope, tuple(series.log_diffs()))
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def shift_entropy_bracket(p: int, n: int, delta: float) -> tuple[float, float]:

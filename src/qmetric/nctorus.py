@@ -94,16 +94,6 @@ def reorder_phase(k, l, phase: PhaseMatrix) -> complex:
     return complex(np.exp(2j * np.pi * reorder_exponent(k, l, phase)))
 
 
-def _self_order_exponent(k, phase: PhaseMatrix) -> float:
-    """Phase exponent of the reversed product: u_p^{k_p}⋯u_1^{k_1} = e^{2πi·} (k-mono)."""
-    total = 0.0
-    th = phase.theta
-    for i in range(phase.p):
-        for j in range(i + 1, phase.p):
-            total += th[i, j] * k[i] * k[j]
-    return total
-
-
 class TwistedPolynomial:
     """Finitely supported coefficient map on Z^p with twisted multiplication."""
 
@@ -226,7 +216,7 @@ def involution(a: TwistedPolynomial) -> TwistedPolynomial:
     """Adjoint: (c · k-mono)* = conj(c) e^{2πi Σ_{i<j} θ_ij k_i k_j} · (-k)-mono."""
     out: dict[tuple[int, ...], complex] = {}
     for k, c in a.coeffs.items():
-        phase = np.exp(2j * np.pi * _self_order_exponent(k, a.phase))
+        phase = np.exp(2j * np.pi * reorder_exponent(k, k, a.phase))
         out[tuple(-x for x in k)] = np.conj(c) * phase
     return TwistedPolynomial(a.phase, out)
 

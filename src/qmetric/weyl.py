@@ -9,7 +9,7 @@ diag(1, ρ, ..., ρ^(p-1)), ρ = exp(2πi/p), and v is the cyclic shift with
 The product group (Z_p × Z_p)^window acts by γ_{(r,s)}(u) = ρ^r u,
 γ_{(r,s)}(v) = ρ^s v sitewise; with the weighted length
 ℓ_λ(g) = Σ_k λ^|k| ℓ(g_k) (ℓ the Euclidean distance to 0 on R²/Z²) this
-yields an exact Lip seminorm as a supremum over the finite group, visited
+yields a Lip seminorm as a supremum over the finite group, visited
 in descending order of the triangle bound and pruned once no remaining
 element can beat it.
 
@@ -157,74 +157,54 @@ def normalize_exponents(window: WeylWindow, exponents) -> Exponents:
     return exponents
 
 
-def _diagonal_columns(p: int, digits: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Flat column of a[b, b+j] per row b and shift j, one digit at a time
-    (a (rows, shifts, W) broadcast is too large)."""
-    W = digits.shape[1]
-    cols = np.zeros((len(digits), len(shifts)), dtype=np.int64)
-    for k in range(W):
-        cols += (digits[:, k, None] + shifts[None, :, k]) % p * p ** (W - 1 - k)
-    return cols
+def _shear(t: np.ndarray, k: int, step: int) -> np.ndarray:
+    """Regather site k's column digit c of the (p,)*2W tensor t at c + step·(row digit) mod p."""
+    p, W = t.shape[0], t.ndim // 2
+    b = np.arange(p)[:, None]
+    t = np.moveaxis(t, (k, W + k), (0, 1))
+    return np.moveaxis(t[b, (np.arange(p) + step * b) % p], (0, 1), (k, W + k))
 
 
-# entries per batch of diagonals in weyl_expand: about 1 MB of complex128
-_BATCH_ENTRIES = 1 << 16
 # weyl_expand keeps a coefficient above this fraction of the largest matrix entry
 _EXPAND_TOL = 1e-13
 
 
 def weyl_expand(a: WeylElement) -> WeylCoefficients:
-    """Weyl-basis coefficients c_m = τ(m* a) via DFT over Z_p^W.
+    """Weyl-basis coefficients c_m = τ(m* a) via DFT over Z_p^W, one site at a time.
 
     For the monomial m with exponents (i_k, j_k) one has
     m[b, b+j] = Π_k ρ^(i_k b_k), so τ(m* a) is the Z_p^W Fourier transform
-    of the generalized diagonal b ↦ a[b, b+j]. The diagonals of a batch of
-    shifts j (at most _BATCH_ENTRIES entries) are gathered into one array with
-    the batch axis last and transformed by one ``fftn``.
+    of the generalized diagonal b ↦ a[b, b+j]. On the (p,)*2W tensor view of a,
+    each site's (row b, column c) axes are sheared to (b, j = c - b) and transformed
+    over b, last site first as in ``fftn``, so each 1-D transform sees fftn's line.
 
     The tolerance is relative: a coefficient is kept when its modulus
     exceeds _EXPAND_TOL·max|a_bc|, so c·a has the support of a for every scalar
     c ≠ 0. Keys are ordered by shift j, then by i, both row-major.
     """
     w = a.window
-    p, W, d = w.p, w.n_sites, w.dim
-    m = a.matrix
-    thresh = _EXPAND_TOL * float(np.abs(m).max())
-    digits = (np.arange(d)[:, None] // (p ** np.arange(W - 1, -1, -1))[None, :]) % p
-    digit_tuples = [tuple(row) for row in digits.tolist()]
-    rows = np.arange(d)[:, None]
-    batch = max(1, _BATCH_ENTRIES // d)
-    data: dict[Exponents, complex] = {}
-    for start in range(0, d, batch):
-        shifts = digits[start:start + batch]
-        cols = _diagonal_columns(p, digits, shifts)
-        diags = m[rows, cols].reshape((p,) * W + (len(shifts),))
-        coeff = (np.fft.fftn(diags, axes=tuple(range(W))) / d).reshape(d, -1).T
-        for jj, iflat in zip(*np.nonzero(np.abs(coeff) > thresh)):
-            exps = tuple(zip(digit_tuples[iflat], digit_tuples[start + jj]))
-            data[exps] = complex(coeff[jj, iflat])
-    return WeylCoefficients(w, data)
+    W, d = w.n_sites, w.dim
+    t = a.matrix.reshape((w.p,) * (2 * W))
+    for k in reversed(range(W)):
+        t = np.fft.fft(_shear(t, k, 1), axis=k)
+    # rows j, columns i, so nonzero runs by j, then i
+    t = t.transpose(tuple(range(W, 2 * W)) + tuple(range(W))).reshape(d, d) / d
+    digits = list(np.ndindex((w.p,) * W))
+    rows, cols = np.nonzero(np.abs(t) > _EXPAND_TOL * float(np.abs(a.matrix).max()))
+    return WeylCoefficients(w, {tuple(zip(digits[i], digits[j])): complex(t[j, i])
+                                for j, i in zip(rows, cols)})
 
 
 def reconstruct(coeffs: WeylCoefficients) -> WeylElement:
-    """Inverse of weyl_expand: Σ c_m · m assembled shiftwise by inverse DFT."""
+    """Inverse of weyl_expand: Σ c_m · m by inverse DFT over i, then unshear, per site."""
     w = coeffs.window
-    p, W, d = w.p, w.n_sites, w.dim
-    by_shift: dict[tuple[int, ...], np.ndarray] = {}
-    shape = (p,) * W
+    W, d = w.n_sites, w.dim
+    t = np.zeros((w.p,) * (2 * W), dtype=np.complex128)
     for exps, c in coeffs.data.items():
-        jvec = tuple(j for _, j in exps)
-        ivec = tuple(i for i, _ in exps)
-        tensor = by_shift.setdefault(jvec, np.zeros(shape, dtype=np.complex128))
-        tensor[ivec] += c
-    m = np.zeros((d, d), dtype=np.complex128)
-    rows = np.arange(d)
-    digits = (rows[:, None] // (p ** np.arange(W - 1, -1, -1))[None, :]) % p
-    for jvec, tensor in by_shift.items():
-        diag = np.fft.ifftn(tensor) * d
-        cols = _diagonal_columns(p, digits, np.array([jvec]))[:, 0]
-        m[rows, cols] += diag.reshape(-1)
-    return WeylElement(w, m)
+        t[tuple(i for i, _ in exps) + tuple(j for _, j in exps)] += c
+    for k in reversed(range(W)):
+        t = _shear(np.fft.ifft(t, axis=k), k, -1)
+    return WeylElement(w, t.reshape(d, d) * d)
 
 
 def trace(a: WeylElement) -> complex:
@@ -324,7 +304,8 @@ def weyl_action(g: GroupElement, a: WeylElement) -> WeylElement:
 
 
 def weyl_lip_norm(a: WeylElement, lam: float) -> float:
-    """Exact L(a) = sup over nonidentity g of ‖γ_g(a) - a‖ / ℓ_λ(g).
+    """L(a) = sup over nonidentity g of ‖γ_g(a) - a‖ / ℓ_λ(g), exact but for
+    the coefficients that weyl_expand drops.
 
     The supremum runs over all p^(2W) group elements. Since
     γ_g(a) - a = Σ_m c_m (χ_m(g) - 1) m and monomials are unitary,
@@ -332,7 +313,10 @@ def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     above. Elements are visited in stable descending order of that bound, and
     the visit stops at the first bound below the supremum so far (with a
     relative margin of 1e-12, so near-ties are still computed). No skipped
-    element can exceed the result, which is the exact supremum.
+    element can exceed the result, which is the exact supremum when no
+    coefficient is dropped. B and the fiber test below ignore the dropped ones
+    (each at most _EXPAND_TOL·max|a_bc|), so where λ^|k| is tiny an element
+    whose ratio comes from them alone can be skipped and the value falls short.
 
     γ_g(a) - a depends on g only through its characters χ_m(g), and the
     elements of one character fiber share B bit for bit. So a fiber is first

@@ -34,6 +34,9 @@ def test_operator_norm_power_iteration_matches_svd():
 def test_singular_values_zero_and_isometry():
     # the operator norm is the top singular value: 0 for zero, 1 for an isometry
     assert linalg.operator_norm(np.zeros((3, 2))) == 0.0
+    # above side 256: the power iteration's zero iterate returns at once
+    assert linalg.operator_norm(np.zeros((512, 512))) == 0.0
+    assert linalg.operator_norm(np.zeros((0, 0))) == 0.0
     q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 3)))
     assert abs(linalg.operator_norm(q) - 1.0) < 1e-12
 

@@ -113,6 +113,28 @@ def test_expand_roundtrip_and_parseval():
     assert abs(lhs - rhs) < 1e-9 * max(1.0, rhs)
 
 
+@pytest.mark.parametrize("p, lo, hi", [
+    (2, -1, 1), (2, 0, 2), (3, -2, 0), (3, 1, 3), (4, -1, 0), (4, 0, 2), (5, 0, 0), (5, -1, 0),
+])
+def test_expand_matches_the_trace_definition(p, lo, hi):
+    # every coefficient of a dense element is τ(m* a) = Σ conj(m) ⊙ a / d, keyed by j, then i
+    w = weyl.WeylWindow(p, lo, hi)
+    a = random_element(w, np.random.default_rng(100 * p + lo))
+    data = weyl.weyl_expand(a).data
+    family = oracles.weyl_unitary_family(w)
+    assert list(data) == sorted(family, key=lambda e: ([j for _, j in e], [i for i, _ in e]))
+    scale = np.abs(a.matrix).max()
+    for exps in family:
+        want = np.vdot(weyl.weyl_monomial(w, exps).matrix, a.matrix) / w.dim
+        assert abs(data[exps] - want) <= 1e-15 * scale
+
+
+def test_expand_roundtrip_p3_three_sites():
+    a = random_element(weyl.WeylWindow(3, -1, 1), np.random.default_rng(33))
+    rec = weyl.reconstruct(weyl.weyl_expand(a))
+    assert np.abs(rec.matrix - a.matrix).max() < 1e-13 * np.abs(a.matrix).max()
+
+
 def test_trace_orthonormality_small_windows():
     # expansion rows of monomials are one-hot, which is the Gram against all monomials
     for p in (2, 3):
