@@ -559,11 +559,9 @@ def _cmul(a, b):
     return np.stack((re, im), axis=-1).view(np.complex128)[..., 0]
 
 
-def _monomial_arrays(layer, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents (range-checked as Python integers) and coefficients of monomials."""
+def _monomial_arrays(layer) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents, in int64 by the constructor's check, and coefficients of monomials."""
     exps, coeffs = zip(*(next(iter(a.coeffs.items())) for a in layer))
-    cols = list(zip(*exps))
-    _check_range([min(c) for c in cols], [max(c) for c in cols], p)
     return np.array(exps, dtype=np.int64), np.array(coeffs, dtype=np.complex128)
 
 
@@ -594,17 +592,17 @@ def product_set(omega, alpha, n: int):
         raise PreconditionError("product sets take twisted monomials, and α must keep them")
     phase = omega[0].phase
     p = phase.p
-    keys, coeffs = _monomial_arrays(omega, p)
+    keys, coeffs = _monomial_arrays(omega)
     first = np.sort(np.unique(_pack(keys, p), return_index=True)[1])
     keys, coeffs = keys[first], coeffs[first]
     check_cap("product_set", len(keys), "product set")
     origin = _pack(np.zeros((1, p), dtype=np.int64), p)
     for layer in layers[1:]:
-        k2, c2 = _monomial_arrays(layer, p)
+        k2, c2 = _monomial_arrays(layer)
+        packed, shifts = _pack(keys, p), _pack(k2, p) - origin
         # inside the box's range a sum of exponents is one add of packed keys
         _check_range((keys.min(axis=0) + k2.min(axis=0)).tolist(),
                      (keys.max(axis=0) + k2.max(axis=0)).tolist(), p)
-        packed, shifts = _pack(keys, p), _pack(k2, p) - origin
         rows = max(1, _MERGE_BUDGET // len(k2))
         seen = np.zeros(0, dtype=np.uint64)
         new_keys, new_coeffs = [], []

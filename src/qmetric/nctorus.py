@@ -119,7 +119,11 @@ class TwistedPolynomial:
                 hi = mod
             if mod < lo:
                 lo = mod
-            kept[tuple(map(int, k))] = c
+            k = tuple(map(int, k))
+            # products, adjoints and lip_bounds take exponents as int64
+            if max(map(abs, k)) >= 2**63:
+                raise PreconditionError(f"exponent {k} has an entry of modulus 2^63 or more")
+            kept[k] = c
         thresh = PRUNE_TOL * hi
         if lo <= thresh:
             kept = {k: c for k, c in kept.items() if abs(c) > thresh}

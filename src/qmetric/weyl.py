@@ -14,7 +14,10 @@ in descending order of the triangle bound and pruned once no remaining
 element can beat it.
 
 Monomial exponents are tuples of (i, j) pairs, one pair per site in window
-order. The coefficient basis is the ground truth for GNS vectors.
+order. weyl_expand returns the coefficients as one (p,)*2W array indexed
+(i_0, j_0, i_1, j_1, ...), the same pairing as a group element's (r_k, s_k);
+its flat order is the GNS vector, and a coefficient at or below the relative
+tolerance is stored as 0.
 Conditional expectations need no basis: since τ(u^i v^j) = 0
 unless i = j = 0, E_n is the normalized partial trace over the sites outside
 [-n, n], taken on the matrix directly.
@@ -86,12 +89,6 @@ class WeylElement:
 
     def norm(self) -> float:
         return operator_norm(self.matrix)
-
-
-@dataclass(frozen=True)
-class WeylCoefficients:
-    window: WeylWindow
-    data: dict[Exponents, complex] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,7 @@ def _shear(t: np.ndarray, k: int, step: int) -> np.ndarray:
 _EXPAND_TOL = 1e-13
 
 
-def weyl_expand(a: WeylElement) -> WeylCoefficients:
+def weyl_expand(a: WeylElement) -> np.ndarray:
     """Weyl-basis coefficients c_m = τ(m* a) via DFT over Z_p^W, one site at a time.
 
     For the monomial m with exponents (i_k, j_k) one has
@@ -178,33 +175,22 @@ def weyl_expand(a: WeylElement) -> WeylCoefficients:
     each site's (row b, column c) axes are sheared to (b, j = c - b) and transformed
     over b, last site first as in ``fftn``, so each 1-D transform sees fftn's line.
 
-    The tolerance is relative: a coefficient is kept when its modulus
-    exceeds _EXPAND_TOL·max|a_bc|, so c·a has the support of a for every scalar
-    c ≠ 0. Keys are ordered by shift j, then by i, both row-major.
+    The result is a read-only complex array of shape (p,)*2W, indexed
+    (i_0, j_0, i_1, j_1, ...) in window order. The tolerance is relative: a
+    coefficient whose modulus is at most _EXPAND_TOL·max|a_bc| is stored as 0,
+    so c·a has the support of a for every scalar c ≠ 0.
     """
     w = a.window
-    W, d = w.n_sites, w.dim
+    W = w.n_sites
     t = a.matrix.reshape((w.p,) * (2 * W))
     for k in reversed(range(W)):
         t = np.fft.fft(_shear(t, k, 1), axis=k)
-    # rows j, columns i, so nonzero runs by j, then i
-    t = t.transpose(tuple(range(W, 2 * W)) + tuple(range(W))).reshape(d, d) / d
-    digits = list(np.ndindex((w.p,) * W))
-    rows, cols = np.nonzero(np.abs(t) > _EXPAND_TOL * float(np.abs(a.matrix).max()))
-    return WeylCoefficients(w, {tuple(zip(digits[i], digits[j])): complex(t[j, i])
-                                for j, i in zip(rows, cols)})
-
-
-def reconstruct(coeffs: WeylCoefficients) -> WeylElement:
-    """Inverse of weyl_expand: Σ c_m · m by inverse DFT over i, then unshear, per site."""
-    w = coeffs.window
-    W, d = w.n_sites, w.dim
-    t = np.zeros((w.p,) * (2 * W), dtype=np.complex128)
-    for exps, c in coeffs.data.items():
-        t[tuple(i for i, _ in exps) + tuple(j for _, j in exps)] += c
-    for k in reversed(range(W)):
-        t = _shear(np.fft.ifft(t, axis=k), k, -1)
-    return WeylElement(w, t.reshape(d, d) * d)
+    # axes (i_0, ..., i_{W-1}, j_0, ..., j_{W-1}) interleaved as (i_0, j_0, i_1, j_1, ...)
+    c = t.transpose([ax for k in range(W) for ax in (k, W + k)])
+    c /= w.dim
+    c[np.abs(c) <= _EXPAND_TOL * float(np.abs(a.matrix).max())] = 0
+    c.flags.writeable = False
+    return c
 
 
 def trace(a: WeylElement) -> complex:
@@ -264,11 +250,11 @@ def conditional_expectation(a: WeylElement, n: int) -> WeylElement:
     return WeylElement(w, out.reshape(w.dim, w.dim))
 
 
-def site_length(p: int, r: int, s: int) -> float:
-    """Distance of (r/p, s/p) to 0 in R²/Z² with the Euclidean metric."""
-    r %= p
-    s %= p
-    return float(np.hypot(min(r, p - r) / p, min(s, p - s) / p))
+def site_length(p: int, r, s):
+    """Distance of (r/p, s/p) to 0 in R²/Z² with the Euclidean metric, elementwise
+    for arrays of r and s."""
+    r, s = np.mod(r, p), np.mod(s, p)
+    return np.hypot(np.minimum(r, p - r) / p, np.minimum(s, p - s) / p)
 
 
 def group_length(g: GroupElement, lam: float) -> float:
@@ -329,20 +315,19 @@ def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     total = p ** (2 * W)
     check_cap("group_enum", total, "Weyl group enumeration")
 
-    coeffs = weyl_expand(a)
-    support = [(exps, c) for exps, c in coeffs.data.items() if any(pair != (0, 0) for pair in exps)]
-    if not support:
+    c = weyl_expand(a)
+    # the nonidentity support, columns (i_0, j_0, i_1, j_1, ...) pairing with group (r_0, s_0, ...)
+    E = np.argwhere(c)
+    E = E[E.any(axis=1)]
+    if not len(E):
         return 0.0
 
-    # columns ordered (i_0, j_0, i_1, j_1, ...) to pair with group (r_0, s_0, ...)
-    E = np.array([[x for pair in exps for x in pair] for exps, _ in support], dtype=np.int64)
     site_weights = np.array([lam ** abs(k) for k in w.sites])
     # per-site length table ℓ(r, s) for r, s in Z_p
-    rr, ss = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    ell_table = np.hypot(np.minimum(rr, p - rr) / p, np.minimum(ss, p - ss) / p)
+    ell_table = site_length(p, *np.indices((p, p)))
     # |c_m (ρ^t - 1)| for every monomial m and character t in Z_p
     rho = np.exp(2j * np.pi / p)
-    term_table = np.abs(np.array([c for _, c in support])[:, None] * (rho ** np.arange(p) - 1.0))
+    term_table = np.abs(c[tuple(E.T)][:, None] * (rho ** np.arange(p) - 1.0))
     powers = p ** np.arange(2 * W - 1, -1, -1, dtype=np.int64)
     # ℓ_λ(g) and the triangle numerator B(g) of every group element g
     lens, num = np.empty(total), np.empty(total)
@@ -409,4 +394,4 @@ def family_lip_max(p: int, reach: int, lam: float) -> float:
     check_cap("group_enum", p, "Weyl site characters")
     rho = np.exp(2j * np.pi / p)
     num = max(abs(rho ** t - 1.0) for t in range(1, p))
-    return float(num) / (lam ** abs(reach) * site_length(p, 1, 0))
+    return float(num / (lam ** abs(reach) * site_length(p, 1, 0)))

@@ -1,9 +1,10 @@
 """Reference implementations that the tests compare qmetric against.
 
 None of these runs in a CLI experiment or in the benchmark: each is a
-slow, literal construction (a matrix representation, a dense product loop,
-a coefficient vector over the whole monomial basis) whose agreement with
-the library's fast or closed-form route is what a test checks.
+slow, literal construction (a matrix representation, a dense product loop)
+whose agreement with the library's fast or closed-form route is what a test
+checks, or a conversion the tests use between a Weyl element, its
+coefficient array and an exponent-keyed dict of its coefficients.
 """
 
 from __future__ import annotations
@@ -39,13 +40,28 @@ def exponent_index(window: WeylWindow, exps: Exponents) -> int:
     return idx
 
 
-def gns_vector(a: WeylElement) -> np.ndarray:
-    """Coefficient vector of a in the monomial basis (the GNS vector π_τ(a)ξ_τ)."""
-    w = a.window
-    vec = np.zeros(w.dim**2, dtype=np.complex128)
-    for exps, c in weyl.weyl_expand(a).data.items():
-        vec[exponent_index(w, exps)] = c
-    return vec
+def coefficient_dict(c: np.ndarray) -> dict[Exponents, complex]:
+    """The nonzero entries of a weyl_expand array, keyed by their exponents."""
+    return {tuple(zip(idx[0::2], idx[1::2])): complex(c[tuple(idx)])
+            for idx in np.argwhere(c).tolist()}
+
+
+def coefficient_array(window: WeylWindow, data: dict[Exponents, complex]) -> np.ndarray:
+    """The (p,)*2W coefficient array, laid out as weyl_expand's, of an exponent dict."""
+    c = np.zeros((window.p,) * (2 * window.n_sites), dtype=np.complex128)
+    for exps, x in data.items():
+        c[tuple(e for pair in exps for e in pair)] = x
+    return c
+
+
+def reconstruct(window: WeylWindow, c: np.ndarray) -> WeylElement:
+    """Inverse of weyl_expand: Σ c_m · m by inverse DFT over i, then unshear, per site."""
+    W, d = window.n_sites, window.dim
+    # axes (i_0, j_0, i_1, j_1, ...) regrouped as (i_0, ..., i_{W-1}, j_0, ..., j_{W-1})
+    t = np.transpose(c, [*range(0, 2 * W, 2), *range(1, 2 * W, 2)])
+    for k in reversed(range(W)):
+        t = weyl._shear(np.fft.ifft(t, axis=k), k, -1)
+    return WeylElement(window, t.reshape(d, d) * d)
 
 
 def conjugation_action(g: weyl.GroupElement, a: WeylElement) -> WeylElement:
@@ -95,7 +111,7 @@ def dense_product_set(omega, alpha, n: int):
     if isinstance(products[0], WeylElement):
         seen: dict[tuple, WeylElement] = {}
         for a in products:
-            seen.setdefault(tuple(sorted(weyl.weyl_expand(a).data)), a)
+            seen.setdefault(tuple(sorted(coefficient_dict(weyl.weyl_expand(a)))), a)
         return list(seen.values())
     return products
 

@@ -29,7 +29,7 @@ def test_01_weyl_relations_and_trace_orthonormality():
         for n_sites in (1, 2, 3):
             window = weyl.WeylWindow(p, 0, n_sites - 1)
             for exps in oracles.weyl_unitary_family(window):
-                data = weyl.weyl_expand(weyl.weyl_monomial(window, exps)).data
+                data = oracles.coefficient_dict(weyl.weyl_expand(weyl.weyl_monomial(window, exps)))
                 # expansion row = Gram row against every monomial: one-hot
                 assert set(data) == {exps}
                 assert abs(data[exps] - 1.0) < 1e-12
@@ -102,7 +102,7 @@ def test_04_shift_entropy_brackets_and_gns():
     for n in range(1, 5):
         products = oracles.dense_product_set(omega, oracles.shift_element, n)
         assert len(products) == 2 ** (2 * n)
-        fam = np.column_stack([oracles.gns_vector(a) for a in products])
+        fam = np.column_stack([weyl.weyl_expand(a).ravel() for a in products])
         m = fam.shape[1]
         oracle = approxdim.dim_exact_orthonormal(m, 0.5)
         assert approxdim.dim_lower_spectral(fam, 0.5) == oracle
@@ -249,7 +249,7 @@ def test_11_uhf_dimension_experiment():
                 (int(rng.integers(0, 2)), int(rng.integers(0, 2))) for _ in range(7)
             )
             data[exps] = complex(rng.standard_normal(), rng.standard_normal())
-        a = weyl.reconstruct(weyl.WeylCoefficients(window, data))
+        a = oracles.reconstruct(window, oracles.coefficient_array(window, data))
         lip = weyl.weyl_lip_norm(a, lam)
         for n in (1, 2, 3):
             resid = np.linalg.norm(
@@ -262,7 +262,7 @@ def test_11_uhf_dimension_experiment():
         win = weyl.WeylWindow(2, -n, n)
         fam = np.column_stack(
             [
-                oracles.gns_vector(weyl.weyl_monomial(win, exps))
+                weyl.weyl_expand(weyl.weyl_monomial(win, exps)).ravel()
                 for exps in oracles.weyl_unitary_family(win)
             ]
         )
@@ -277,7 +277,7 @@ def test_11_uhf_dimension_experiment():
     assert len(set(family3)) == 2**14
     for idx in rng.choice(len(family3), size=64, replace=False):
         exps = family3[int(idx)]
-        data = weyl.weyl_expand(weyl.weyl_monomial(win3, exps)).data
+        data = oracles.coefficient_dict(weyl.weyl_expand(weyl.weyl_monomial(win3, exps)))
         assert set(data) == {exps} and abs(data[exps] - 1.0) < 1e-12
     assert approxdim.dim_exact_orthonormal(2**14, 0.5) >= 0.75 * 2**14
 

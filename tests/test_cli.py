@@ -447,6 +447,17 @@ def test_bad_inputs_exit_2(tmp_path, monkeypatch, capsys, argv, hangs):
     assert not Path("x.csv").exists()
 
 
+def test_element_exponent_beyond_int64_exits_2(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"p": 2, "theta": [[0.0, 0.25], [0.75, 0.0]],
+                               "coefficients": [[[2**70, 1], 1.0, 0.0]]}))
+    out = tmp_path / "td.csv"
+    assert run(["torus-dim", "--n-max", 2, "--element", big, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qmetric: error: exponent {(2**70, 1)} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_rerun_resolves_inputs_against_source_dir(tmp_path, monkeypatch):
     # relative paths in a header are relative to the header's file, so a
     # rerun from another directory reads the same input

@@ -202,7 +202,7 @@ def test_product_set_shift_weyl_tensors():
     hull = weyl.WeylWindow(p, 0, n - 1)
     seen = set()
     for a in out:
-        data = weyl.weyl_expand(a).data
+        data = oracles.coefficient_dict(weyl.weyl_expand(a))
         assert len(data) == 1
         (exps, c), = data.items()
         assert abs(abs(c) - 1.0) < 1e-12
@@ -374,9 +374,12 @@ def test_product_set_rank_and_field_limits():
     assert len(entropy.product_set(edge, lambda a: a, 1)) == 1
     with pytest.raises(ResourceLimitError):
         entropy.product_set(edge, lambda a: a, 2)
-    far = [nctorus.TwistedPolynomial.monomial(ph3, (2**70, 0, 0))]
+    far = [nctorus.TwistedPolynomial.monomial(ph3, (2**62, 0, 0))]
     with pytest.raises(ResourceLimitError):
         entropy.product_set(far, lambda a: a, 1)
+    # beyond int64 a monomial cannot be built at all
+    with pytest.raises(PreconditionError):
+        nctorus.TwistedPolynomial.monomial(ph3, (2**70, 0, 0))
 
 
 def test_cat_slope_below_eigen_plus_pad_and_diffs_monotone():

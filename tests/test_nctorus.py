@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,29 @@ def test_coefficients_without_finite_modulus_are_rejected(quarter, bad):
         TP(quarter, {(1, 0): 1.0, (0, 1): bad})
     with pytest.raises(PreconditionError):
         TP._monomials(quarter, np.array([[1, 0], [0, 1]]), np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("k", [(2**70, 1), (1, -2**63), (2**63, 0)])
+def test_exponents_beyond_int64_are_rejected(quarter, k):
+    # products, adjoints and lip_bounds take exponents as int64, so the one entry
+    # for outside input turns away any that does not fit
+    with pytest.raises(PreconditionError, match=re.escape(f"exponent {k} ")):
+        TP(quarter, {(0, 1): 1.0, k: 1.0})
+    obj = {"p": 2, "theta": quarter.theta.tolist(), "coefficients": [[list(k), 1.0, 0.0]]}
+    with pytest.raises(PreconditionError, match=re.escape(f"exponent {k} ")):
+        nctorus.polynomial_from_jsonable(obj)
+
+
+def test_largest_exponents_in_products_adjoints_and_lip_bounds(quarter):
+    top = 2**63 - 1
+    a = TP(quarter, {(top, -top): 1.0, (0, 1): 2.0})
+    assert a.adjoint().support == [(-top, top), (0, -1)]
+    assert (a * TP.one(quarter)).coeffs == a.coeffs
+    lower, upper = nctorus.lip_bounds(a)
+    assert 0.0 < lower <= upper
+    # a product whose exponent leaves the range is rejected, not wrapped
+    with pytest.raises(PreconditionError, match=re.escape(f"exponent {(2 * top, -2 * top)} ")):
+        a * a
 
 
 # finite parts whose moduli stay in the float range: zeros of both signs,

@@ -92,11 +92,11 @@ def test_monomial_trace_vanishes():
 def test_expand_identity_and_monomial():
     w = weyl.WeylWindow(2, 0, 1)
     ident = weyl.weyl_monomial(w, [(0, 0), (0, 0)])
-    data = weyl.weyl_expand(ident).data
+    data = oracles.coefficient_dict(weyl.weyl_expand(ident))
     assert set(data) == {((0, 0), (0, 0))}
     assert abs(data[((0, 0), (0, 0))] - 1.0) < 1e-12
     uv = weyl.weyl_monomial(w, [(1, 0), (0, 1)])
-    data = weyl.weyl_expand(uv).data
+    data = oracles.coefficient_dict(weyl.weyl_expand(uv))
     assert set(data) == {((1, 0), (0, 1))}
     assert abs(data[((1, 0), (0, 1))] - 1.0) < 1e-12
 
@@ -106,9 +106,9 @@ def test_expand_roundtrip_and_parseval():
     w = weyl.WeylWindow(2, 0, 1)
     a = random_element(w, rng)
     coeffs = weyl.weyl_expand(a)
-    rec = weyl.reconstruct(coeffs)
+    rec = oracles.reconstruct(w, coeffs)
     assert np.abs(rec.matrix - a.matrix).max() < 1e-10
-    lhs = sum(abs(c) ** 2 for c in coeffs.data.values())
+    lhs = np.sum(np.abs(coeffs) ** 2)
     rhs = weyl.trace(a.adjoint() * a).real
     assert abs(lhs - rhs) < 1e-9 * max(1.0, rhs)
 
@@ -117,21 +117,25 @@ def test_expand_roundtrip_and_parseval():
     (2, -1, 1), (2, 0, 2), (3, -2, 0), (3, 1, 3), (4, -1, 0), (4, 0, 2), (5, 0, 0), (5, -1, 0),
 ])
 def test_expand_matches_the_trace_definition(p, lo, hi):
-    # every coefficient of a dense element is τ(m* a) = Σ conj(m) ⊙ a / d, keyed by j, then i
+    # every coefficient of a dense element is τ(m* a) = Σ conj(m) ⊙ a / d, at index
+    # (i_0, j_0, i_1, j_1, ...), so the flat order is exponent_index's
     w = weyl.WeylWindow(p, lo, hi)
     a = random_element(w, np.random.default_rng(100 * p + lo))
-    data = weyl.weyl_expand(a).data
+    c = weyl.weyl_expand(a)
+    assert c.shape == (p,) * (2 * w.n_sites) and c.dtype == np.complex128
+    assert not c.flags.writeable
     family = oracles.weyl_unitary_family(w)
-    assert list(data) == sorted(family, key=lambda e: ([j for _, j in e], [i for i, _ in e]))
+    assert [oracles.exponent_index(w, exps) for exps in family] == list(range(c.size))
     scale = np.abs(a.matrix).max()
+    flat = c.ravel()
     for exps in family:
         want = np.vdot(weyl.weyl_monomial(w, exps).matrix, a.matrix) / w.dim
-        assert abs(data[exps] - want) <= 1e-15 * scale
+        assert abs(flat[oracles.exponent_index(w, exps)] - want) <= 1e-15 * scale
 
 
 def test_expand_roundtrip_p3_three_sites():
     a = random_element(weyl.WeylWindow(3, -1, 1), np.random.default_rng(33))
-    rec = weyl.reconstruct(weyl.weyl_expand(a))
+    rec = oracles.reconstruct(a.window, weyl.weyl_expand(a))
     assert np.abs(rec.matrix - a.matrix).max() < 1e-13 * np.abs(a.matrix).max()
 
 
@@ -140,7 +144,7 @@ def test_trace_orthonormality_small_windows():
     for p in (2, 3):
         w = weyl.WeylWindow(p, 0, 1)
         for exps in oracles.weyl_unitary_family(w):
-            data = weyl.weyl_expand(weyl.weyl_monomial(w, exps)).data
+            data = oracles.coefficient_dict(weyl.weyl_expand(weyl.weyl_monomial(w, exps)))
             assert set(data) == {exps}
             assert abs(data[exps] - 1.0) < 1e-12
 
@@ -173,9 +177,9 @@ def expectation_by_coefficients(a, n):
     """E_n the long way: expand, drop every coefficient with a nontrivial
     exponent outside [-n, n], reconstruct."""
     w = a.window
-    kept = {exps: c for exps, c in weyl.weyl_expand(a).data.items()
+    kept = {exps: c for exps, c in oracles.coefficient_dict(weyl.weyl_expand(a)).items()
             if all(pair == (0, 0) for site, pair in zip(w.sites, exps) if abs(site) > n)}
-    return weyl.reconstruct(weyl.WeylCoefficients(w, kept))
+    return oracles.reconstruct(w, oracles.coefficient_array(w, kept))
 
 
 @st.composite
@@ -257,9 +261,9 @@ def test_weyl_action_matches_coefficient_rule():
     w = weyl.WeylWindow(3, 0, 1)
     a = random_element(w, rng)
     g = weyl.GroupElement(w, ((1, 2), (2, 0)))
-    acted = weyl.weyl_expand(weyl.weyl_action(g, a)).data
+    acted = oracles.coefficient_dict(weyl.weyl_expand(weyl.weyl_action(g, a)))
     rho = np.exp(2j * np.pi / 3)
-    for exps, c in weyl.weyl_expand(a).data.items():
+    for exps, c in oracles.coefficient_dict(weyl.weyl_expand(a)).items():
         character = np.prod(
             [rho ** (r * i + s * j) for (r, s), (i, j) in zip(g.pairs, exps)]
         )
@@ -365,7 +369,7 @@ def element_pairs(draw):
     for _ in range(2):
         exps = draw(st.lists(st.sampled_from(family), min_size=1, max_size=6, unique=True))
         coeffs = {e: complex(rng.standard_normal(), rng.standard_normal()) for e in exps}
-        pair.append(weyl.reconstruct(weyl.WeylCoefficients(window, coeffs)))
+        pair.append(oracles.reconstruct(window, oracles.coefficient_array(window, coeffs)))
     return pair[0], pair[1], draw(st.sampled_from([0.3, 0.5, 0.8]))
 
 
@@ -428,6 +432,22 @@ def test_lip_norm_memory_at_full_support():
     assert peak < 40 * 2**20
 
 
+def test_expand_memory_of_a_dense_element():
+    # p = 2 on 9 sites (d = 512): the 2^18 coefficients are one 4 MiB complex array,
+    # and the expansion holds a few such arrays at a time
+    import tracemalloc
+
+    a = random_element(weyl.WeylWindow(2, -4, 4), np.random.default_rng(9))
+    tracemalloc.start()
+    try:
+        c = weyl.weyl_expand(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.count_nonzero(c) == 2**18
+
+
 def test_shift_and_embed():
     u, _ = weyl.clock_shift(2)
     a = weyl.WeylElement(weyl.WeylWindow(2, 0, 0), u)
@@ -481,7 +501,7 @@ def test_lip_norm_against_per_element_brute_force():
         w = weyl.WeylWindow(p, lo, hi)
         for _ in range(count):
             a = random_element(w, rng)
-            assert len(weyl.weyl_expand(a).data) == p ** (2 * w.n_sites)
+            assert np.count_nonzero(weyl.weyl_expand(a)) == p ** (2 * w.n_sites)
             assert weyl.weyl_lip_norm(a, lam) == pytest.approx(brute_force_lip(a, lam), rel=1e-9)
 
 
@@ -490,8 +510,8 @@ def test_expand_roundtrip_p5():
     w = weyl.WeylWindow(5, 0, 0)
     a = random_element(w, rng)
     coeffs = weyl.weyl_expand(a)
-    assert len(coeffs.data) == 25
-    rec = weyl.reconstruct(coeffs)
+    assert np.count_nonzero(coeffs) == 25
+    rec = oracles.reconstruct(w, coeffs)
     assert np.abs(rec.matrix - a.matrix).max() < 1e-10
 
 
@@ -560,7 +580,7 @@ def sparse_elements(draw):
 @given(sparse_elements())
 def test_pruned_supremum_matches_all_fiber_oracle(case):
     window, coeffs, lam = case
-    a = weyl.reconstruct(weyl.WeylCoefficients(window, coeffs))
+    a = oracles.reconstruct(window, oracles.coefficient_array(window, coeffs))
     value = weyl.weyl_lip_norm(a, lam)
     assert type(value) is float
     assert value == pytest.approx(fiber_oracle_lip(window, coeffs, lam), rel=1e-10, abs=1e-12)
@@ -571,7 +591,7 @@ def test_full_support_p3_matches_oracle():
     rng = np.random.default_rng(41)
     w = weyl.WeylWindow(3, 0, 1)
     a = random_element(w, rng)
-    coeffs = weyl.weyl_expand(a).data
+    coeffs = oracles.coefficient_dict(weyl.weyl_expand(a))
     assert len(coeffs) == 81
     assert weyl.weyl_lip_norm(a, 0.5) == pytest.approx(
         fiber_oracle_lip(w, coeffs, 0.5), rel=1e-10
@@ -589,7 +609,7 @@ def test_pruned_supremum_takes_few_norms(monkeypatch):
             rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.random())
         for row in E
     }
-    a = weyl.reconstruct(weyl.WeylCoefficients(w, coeffs))
+    a = oracles.reconstruct(w, oracles.coefficient_array(w, coeffs))
     calls = []
 
     def counting_norm(m):
