@@ -18,6 +18,10 @@ with the lattice cap checked after each batch. The growth
 S_n = Σ_{j<n} T^j K_m adds the cube T^j K_m as p segments
 {-m..m}·T^j e_i, so a step holds at most (2m+1)·|S| candidate keys.
 
+Orbit product sets of twisted monomials add exponents as the same packed
+keys and come back as a read-only sequence over an int64 exponent array
+and a complex128 coefficient array; each monomial is built when read.
+
 Growth slopes are tail regressions with per-step log differences reported
 as diagnostics; no claimed limits.
 """
@@ -94,7 +98,8 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     keep = np.empty(len(keys), dtype=bool)
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    # compress takes a quarter of a boolean index's time unless nearly every key is kept
+    return np.compress(keep, keys)
 
 
 @dataclass(frozen=True)
@@ -576,8 +581,11 @@ def product_set(omega, alpha, n: int):
     minkowski_sum. Reordering phases go into the coefficient, and the first
     product per exponent over (kept product, layer monomial) pairs is kept;
     pairs come in batches of at most _MERGE_BUDGET, each followed by a
-    product_set cap check. The output monomials are built in one batch from
-    these checked arrays, without the validating constructor.
+    product_set cap check. The products come back sorted by exponent as a
+    read-only ``nctorus.MonomialSequence`` over these checked arrays: its
+    ``keys`` and ``coeffs`` are the (N, p) int64 exponents and N complex128
+    coefficients, and a monomial is built, without the validating
+    constructor, only when an element is read.
     """
     omega = list(omega)
     if n < 1:

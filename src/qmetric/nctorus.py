@@ -20,6 +20,8 @@ consumers take brackets.
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import inf
 
@@ -94,6 +96,12 @@ def reorder_phase(k, l, phase: PhaseMatrix) -> complex:
     return complex(np.exp(2j * np.pi * reorder_exponent(k, l, phase)))
 
 
+def _check_int64(k: tuple[int, ...]) -> None:
+    # products, adjoints, lip_bounds and toral maps take exponents as int64
+    if max(map(abs, k)) >= 2**63:
+        raise PreconditionError(f"exponent {k} has an entry of modulus 2^63 or more")
+
+
 class TwistedPolynomial:
     """Finitely supported coefficient map on Z^p with twisted multiplication."""
 
@@ -120,9 +128,7 @@ class TwistedPolynomial:
             if mod < lo:
                 lo = mod
             k = tuple(map(int, k))
-            # products, adjoints and lip_bounds take exponents as int64
-            if max(map(abs, k)) >= 2**63:
-                raise PreconditionError(f"exponent {k} has an entry of modulus 2^63 or more")
+            _check_int64(k)
             kept[k] = c
         thresh = PRUNE_TOL * hi
         if lo <= thresh:
@@ -131,18 +137,21 @@ class TwistedPolynomial:
 
     @classmethod
     def _monomials(cls, phase: PhaseMatrix, keys: np.ndarray,
-                   coeffs: np.ndarray) -> list["TwistedPolynomial"]:
+                   coeffs: np.ndarray) -> "MonomialSequence":
         """One monomial per row of (N, p) int exponents and N complex coefficients,
         unchecked but for finiteness; a zero coefficient gives the empty polynomial."""
         if not np.isfinite(np.abs(coeffs)).all():
             raise PreconditionError("monomial coefficients must have finite moduli")
-        out = []
-        for k, c in zip(map(tuple, keys.tolist()), coeffs.tolist()):
-            a = object.__new__(cls)
-            a.phase = phase
-            a.coeffs = {k: c} if c else {}
-            out.append(a)
-        return out
+        return MonomialSequence(phase, np.asarray(keys, dtype=np.int64),
+                                np.asarray(coeffs, dtype=np.complex128))
+
+    @classmethod
+    def _unchecked_monomial(cls, phase: PhaseMatrix, k: tuple[int, ...],
+                            c: complex) -> "TwistedPolynomial":
+        a = object.__new__(cls)
+        a.phase = phase
+        a.coeffs = {k: c} if c else {}
+        return a
 
     @classmethod
     def monomial(cls, phase: PhaseMatrix, k, coeff: complex = 1.0) -> "TwistedPolynomial":
@@ -202,6 +211,40 @@ class TwistedPolynomial:
 
     def __repr__(self):
         return f"TwistedPolynomial(p={self.phase.p}, support={len(self.coeffs)})"
+
+
+class MonomialSequence(Sequence):
+    """Read-only sequence of twisted monomials held as an (N, p) int64 exponent
+    array ``keys`` and N complex128 coefficients ``coeffs``, both read-only.
+
+    A monomial is built when read, without the validating constructor: its
+    exponent is a tuple of Python ints, its coefficient a Python complex with
+    the array's bits, and a zero coefficient gives the empty polynomial. A
+    slice is a sequence over views of the arrays.
+    """
+
+    __slots__ = ("phase", "keys", "coeffs")
+
+    def __init__(self, phase: PhaseMatrix, keys: np.ndarray, coeffs: np.ndarray):
+        # views, so that the caller's arrays keep their own flags
+        keys, coeffs = keys.view(), coeffs.view()
+        keys.flags.writeable = coeffs.flags.writeable = False
+        self.phase, self.keys, self.coeffs = phase, keys, coeffs
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MonomialSequence(self.phase, self.keys[i], self.coeffs[i])
+        i = operator.index(i)
+        return TwistedPolynomial._unchecked_monomial(
+            self.phase, tuple(self.keys[i].tolist()), self.coeffs[i].item())
+
+    def __iter__(self):
+        build, phase = TwistedPolynomial._unchecked_monomial, self.phase
+        for k, c in zip(map(tuple, self.keys.tolist()), self.coeffs.tolist()):
+            yield build(phase, k, c)
 
 
 def twisted_product(a: TwistedPolynomial, b: TwistedPolynomial) -> TwistedPolynomial:
@@ -315,29 +358,30 @@ class ToralMap:
         return self.T.shape[0]
 
 
-def _monomial_power(v: np.ndarray, m: int, phase: PhaseMatrix) -> tuple[float, np.ndarray]:
-    """(v-mono)^m = e^{2πi B(v,v) m(m-1)/2} · (mv)-mono for any integer m."""
-    b = reorder_exponent(v, v, phase)
-    return b * m * (m - 1) / 2.0, m * v
-
-
 def toral_map_apply(tm: ToralMap, a: TwistedPolynomial) -> TwistedPolynomial:
-    """Apply α_T ∘ γ_t coefficientwise; support maps k ↦ Tk with phases."""
+    """Apply α_T ∘ γ_t coefficientwise; support maps k ↦ Tk with phases.
+
+    The image of the k-mono is (k_1 v_1)-mono ⋯ (k_p v_p)-mono for the columns
+    v_j of T, multiplied out in Python ints; a column multiple or partial sum
+    with an entry of modulus 2^63 or more is rejected before the int64 phases.
+    """
     phase = a.phase
     if tm.p != phase.p:
         raise PreconditionError("toral map dimension does not match the torus")
-    p = phase.p
-    cols = [tm.T[:, j].astype(np.int64) for j in range(p)]
+    cols = [tuple(v) for v in tm.T.T.tolist()]
+    # (v-mono)^m = e^{2πi B(v,v) m(m-1)/2} · (mv)-mono for any integer m
+    squares = [reorder_exponent(v, v, phase) for v in cols]
     out: dict[tuple[int, ...], complex] = {}
     for k, c in a.coeffs.items():
         phi = float(np.dot(k, tm.t))  # γ_t first
-        acc = np.zeros(p, dtype=np.int64)
-        for j in range(p):
-            pw_phi, pw_e = _monomial_power(cols[j], k[j], phase)
-            phi += pw_phi + reorder_exponent(acc, pw_e, phase)
-            acc = acc + pw_e
-        key = tuple(int(x) for x in acc)
-        out[key] = out.get(key, 0.0) + c * np.exp(2j * np.pi * phi)
+        acc = (0,) * phase.p
+        for m, v, b in zip(k, cols, squares):
+            step = tuple(m * x for x in v)
+            _check_int64(step)
+            phi += b * m * (m - 1) / 2.0 + reorder_exponent(acc, step, phase)
+            acc = tuple(x + y for x, y in zip(acc, step))
+            _check_int64(acc)
+        out[acc] = out.get(acc, 0.0) + c * np.exp(2j * np.pi * phi)
     return TwistedPolynomial(phase, out)
 
 

@@ -586,6 +586,24 @@ def test_block_basis_and_box_bound_properties(case):
     assert entropy.box_bound_card(T, m, n, 0.05) >= len(oracle_orbit_set(T, m, n))
 
 
+# keys from a small pool repeat often; the pool spans the whole uint64 range
+_key_pools = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool=_key_pools, data=st.data(), shape=st.sampled_from(["any", "sorted", "all-equal"]))
+def test_sorted_unique_equals_np_unique(pool, data, shape):
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=60))
+    if shape == "sorted":
+        picks.sort()
+    elif shape == "all-equal":
+        picks = [pool[0]] * len(picks)
+    keys = np.array(picks, dtype=np.uint64)
+    got = entropy._sorted_unique(keys.copy())
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, np.unique(keys))
+
+
 def test_constructor_normalises_keys_and_derives_box():
     pts = [[3, -1], [0, 0], [-2, 5], [3, -1]]
     ref = entropy.LatticeSet.from_points(2, pts)

@@ -95,12 +95,43 @@ def test_monomial_batch_equals_validating_constructor(p, data):
     coeffs = np.array([complex(re, im) for _, re, im in rows], dtype=np.complex128)
     got = TP._monomials(phase, keys, coeffs)
     assert len(got) == n
-    for a, (k, re, im) in zip(got, rows):
+    # read by index and by iteration, each monomial is the constructor's
+    for i, a, (k, re, im) in zip(range(n), got, rows, strict=True):
         expect = TP.monomial(phase, k, complex(re, im))
-        assert a.phase is phase and a.coeffs == expect.coeffs
-        for (ka, ca), (_, ce) in zip(a.coeffs.items(), expect.coeffs.items()):
-            assert all(type(x) is int for x in ka) and type(ca) is complex
-            assert np.signbit([ca.real, ca.imag]).tolist() == np.signbit([ce.real, ce.imag]).tolist()
+        for b in (got[i], a):
+            assert type(b) is TP and b.phase is phase and b.coeffs == expect.coeffs
+            for (kb, cb), (_, ce) in zip(b.coeffs.items(), expect.coeffs.items(), strict=True):
+                assert all(type(x) is int for x in kb) and type(cb) is complex
+                assert np.signbit([cb.real, cb.imag]).tolist() == np.signbit([ce.real, ce.imag]).tolist()
+
+
+def test_monomial_sequence_contract(quarter):
+    keys = np.array([[1, 0], [0, -1], [2, 3], [-4, 5]])
+    coeffs = np.array([1.0, -0.0j, 2.5 - 1j, 1j])
+    seq = TP._monomials(quarter, keys, coeffs)
+    expect = [{(1, 0): 1.0}, {}, {(2, 3): 2.5 - 1j}, {(-4, 5): 1j}]
+    assert len(seq) == 4
+    assert [seq[i].coeffs for i in range(4)] == expect
+    assert [seq[i].coeffs for i in range(-4, 0)] == expect
+    assert [a.coeffs for a in seq] == expect
+    assert [a.coeffs for a in reversed(seq)] == expect[::-1]
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            seq[i]
+    with pytest.raises(TypeError):
+        seq[1.0]
+    for sl in (slice(1, 3), slice(None, None, -2), slice(5, 9), slice(-3, None)):
+        part = seq[sl]
+        assert type(part) is type(seq) and part.phase is quarter
+        assert [a.coeffs for a in part] == expect[sl]
+        assert np.shares_memory(part.keys, seq.keys) or not len(part)
+    # the arrays are read-only, and the caller's arrays keep their flags
+    assert seq.keys.dtype == np.int64 and seq.keys.shape == (4, 2)
+    assert seq.coeffs.dtype == np.complex128 and seq.coeffs.shape == (4,)
+    for arr in (seq.keys, seq.coeffs, seq[1:].keys, seq[1:].coeffs):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert keys.flags.writeable and coeffs.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -512,6 +543,26 @@ def test_toral_map_support_and_trace(quarter):
     expected = sorted(tuple(cat.T @ np.array(k)) for k in a.coeffs)
     assert image.support == [tuple(int(x) for x in k) for k in expected]
     assert abs(nctorus.trace(image) - nctorus.trace(a)) < 1e-12
+
+
+def test_toral_map_rejects_images_beyond_int64(quarter):
+    # T·k must not wrap in int64, where cat would send (3·2^61, 0) to (-2^62, 3·2^61)
+    cat = nctorus.ToralMap(np.array([[2, 1], [1, 1]]))
+    k = (3 * 2**61, 0)
+    with pytest.raises(PreconditionError, match=re.escape(f"exponent {(3 * 2**62, 3 * 2**61)} ")):
+        nctorus.toral_map_apply(cat, TP.monomial(quarter, k))
+    # a partial sum can leave the range although the image, (2^62, 2^62, 2^62), returns to it
+    ph3 = nctorus.PhaseMatrix(3, np.zeros((3, 3)))
+    shear = nctorus.ToralMap(np.array([[1, 1, -1], [0, 1, 0], [0, 0, 1]]))
+    with pytest.raises(PreconditionError, match=re.escape(f"exponent {(2**63, 2**62, 0)} ")):
+        nctorus.toral_map_apply(shear, TP.monomial(ph3, (2**62,) * 3))
+    # just inside the range the image is computed exactly
+    top = 2**63 - 1
+    image = nctorus.toral_map_apply(cat, TP.monomial(quarter, (2**62 - 1, 1)))
+    assert image.support == [(top, 2**62)]
+    image = nctorus.toral_map_apply(nctorus.ToralMap(np.array([[-1, 0], [0, 1]])),
+                                    TP.monomial(quarter, (-top, top)))
+    assert image.support == [(top, top)]
 
 
 def test_toral_map_validation():
