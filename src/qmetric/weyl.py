@@ -25,6 +25,7 @@ unless i = j = 0, E_n is the normalized partial trace over the sites outside
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -289,6 +290,61 @@ def weyl_action(g: GroupElement, a: WeylElement) -> WeylElement:
     return WeylElement(a.window, a.matrix[np.ix_(src, src)] * np.outer(phase, phase.conj()))
 
 
+# the bound table's chunks: at most 2^20 characters and 2^16 group elements each
+_CHUNK_ENTRIES = 1 << 20
+_CHUNK_ROWS = 1 << 16
+
+
+def _bound_table(w: WeylWindow, c: np.ndarray, E: np.ndarray,
+                 lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """ℓ_λ(g) and the triangle numerator B(g) = Σ_m |c_m (χ_m(g) - 1)| of every
+    group element g, in the flat order of its digits (r_0, s_0, r_1, s_1, ...).
+
+    That order is the (p²,)^W grid of site pairs t = r p + s, so both are built
+    from per-site tables over t: λ^|k| ℓ(r, s), and (i_k r + j_k s) mod p for
+    each monomial of the support E, in the smallest unsigned dtype that holds
+    2(p - 1). The trailing sites form one block of outer sums mod p, shared by
+    every chunk; each chunk is one value of the leading sites and adds their
+    sum mod p as an offset. The character index t < 2p - 1 reads a table of
+    |c_m (ρ^(t mod p) - 1)|, and ℓ_λ and B are row sums of (rows, W) and
+    (rows, k) arrays, summed in the same order as a per-element computation.
+    """
+    p, W, k = w.p, w.n_sites, len(E)
+    q = p * p
+    trailing = 0  # sites in the shared block: the most that keep a chunk in budget
+    while (trailing < W and q ** (trailing + 1) <= _CHUNK_ROWS
+           and q ** (trailing + 1) * k <= _CHUNK_ENTRIES):
+        trailing += 1
+    leading = W - trailing
+    dtype = np.min_scalar_type(2 * (p - 1))
+    r, s = np.divmod(np.arange(q), p)
+    site_lens = [site_length(p, r, s) * lam ** abs(x) for x in w.sites]
+    site_chars = [((np.outer(r, E[:, 2 * j]) + np.outer(s, E[:, 2 * j + 1])) % p).astype(dtype)
+                  for j in range(W)]
+    rho = np.exp(2j * np.pi / p)
+    term_table = np.abs(c[tuple(E.T)][:, None] * (rho ** (np.arange(2 * p) % p) - 1.0))
+
+    block = np.zeros((1, k), dtype=dtype)
+    for T in site_chars[leading:]:
+        block = ((block[:, None, :] + T[None, :, :]) % p).reshape(-1, k)
+    ell = np.empty((q,) * trailing + (W,))
+    for j in range(leading, W):
+        ell[..., j] = site_lens[j].reshape((q,) + (1,) * (W - 1 - j))
+    ell = ell.reshape(len(block), W)
+
+    lens, num = np.empty(q ** W), np.empty(q ** W)
+    monomials = np.arange(k)
+    for chunk, prefix in enumerate(itertools.product(range(q), repeat=leading)):
+        offset = np.zeros(k, dtype=dtype)
+        for j, t in enumerate(prefix):
+            offset = (offset + site_chars[j][t]) % p
+            ell[:, j] = site_lens[j][t]
+        rows = slice(chunk * len(block), (chunk + 1) * len(block))
+        lens[rows] = ell.sum(axis=1)
+        num[rows] = term_table[monomials, block + offset].sum(axis=1)
+    return lens, num
+
+
 def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     """L(a) = sup over nonidentity g of ‖γ_g(a) - a‖ / ℓ_λ(g), exact but for
     the coefficients that weyl_expand drops.
@@ -307,6 +363,11 @@ def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     γ_g(a) - a depends on g only through its characters χ_m(g), and the
     elements of one character fiber share B bit for bit. So a fiber is first
     visited at a shortest member, and a later one is skipped without a norm.
+
+    ℓ_λ and B of all group elements come from _bound_table, which broadcasts
+    per-site tables over the (p²,)^W grid of group elements: no digit
+    division and no integer matrix product, in chunks of at most 2^20
+    characters.
     """
     if not (0.0 < lam < 1.0):
         raise PreconditionError("λ must lie in (0, 1)")
@@ -322,21 +383,8 @@ def weyl_lip_norm(a: WeylElement, lam: float) -> float:
     if not len(E):
         return 0.0
 
-    site_weights = np.array([lam ** abs(k) for k in w.sites])
-    # per-site length table ℓ(r, s) for r, s in Z_p
-    ell_table = site_length(p, *np.indices((p, p)))
-    # |c_m (ρ^t - 1)| for every monomial m and character t in Z_p
-    rho = np.exp(2j * np.pi / p)
-    term_table = np.abs(c[tuple(E.T)][:, None] * (rho ** np.arange(p) - 1.0))
+    lens, num = _bound_table(w, c, E, lam)
     powers = p ** np.arange(2 * W - 1, -1, -1, dtype=np.int64)
-    # ℓ_λ(g) and the triangle numerator B(g) of every group element g
-    lens, num = np.empty(total), np.empty(total)
-    # group rows per chunk: at most 2^20 int64 characters (8 MiB) in G @ E.T
-    chunk = min(1 << 16, max(1, (1 << 20) // len(E)))
-    for start in range(0, total, chunk):
-        G = (np.arange(start, min(start + chunk, total), dtype=np.int64)[:, None] // powers) % p
-        lens[start:start + len(G)] = (ell_table[G[:, 0::2], G[:, 1::2]] * site_weights).sum(axis=1)
-        num[start:start + len(G)] = term_table[np.arange(len(E)), (G @ E.T) % p].sum(axis=1)
 
     sup = 0.0
     taken: dict[float, list[np.ndarray]] = {}  # visited elements by their B

@@ -78,6 +78,27 @@ def conjugation_action(g: weyl.GroupElement, a: WeylElement) -> WeylElement:
     return WeylElement(a.window, conj @ a.matrix @ conj.conj().T)
 
 
+def bound_table(window: WeylWindow, c: np.ndarray, E: np.ndarray,
+                lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """ℓ_λ(g) and B(g) = Σ_m |c_m (χ_m(g) - 1)| of every group element g, with
+    the digits of each g by division and its characters by an int64 product
+    G @ E.T, in chunks of at most 2^20 characters."""
+    p, W = window.p, window.n_sites
+    total = p ** (2 * W)
+    site_weights = np.array([lam ** abs(k) for k in window.sites])
+    ell_table = weyl.site_length(p, *np.indices((p, p)))
+    rho = np.exp(2j * np.pi / p)
+    term_table = np.abs(c[tuple(E.T)][:, None] * (rho ** np.arange(p) - 1.0))
+    powers = p ** np.arange(2 * W - 1, -1, -1, dtype=np.int64)
+    lens, num = np.empty(total), np.empty(total)
+    chunk = min(1 << 16, max(1, (1 << 20) // len(E)))
+    for start in range(0, total, chunk):
+        G = (np.arange(start, min(start + chunk, total), dtype=np.int64)[:, None] // powers) % p
+        lens[start:start + len(G)] = (ell_table[G[:, 0::2], G[:, 1::2]] * site_weights).sum(axis=1)
+        num[start:start + len(G)] = term_table[np.arange(len(E)), (G @ E.T) % p].sum(axis=1)
+    return lens, num
+
+
 def weyl_unitary_family(window: WeylWindow) -> list[Exponents]:
     """All monomial exponent tuples on the window (the elementary-tensor family)."""
     p = window.p

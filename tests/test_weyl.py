@@ -491,18 +491,43 @@ def brute_force_lip(a, lam):
 
 
 def test_lip_norm_against_per_element_brute_force():
-    # independent oracle on random dense (so full-support) elements: p = 4 and
-    # p = 6 windows, and full supports of 255 (p = 2, W = 4) and 80 (p = 3, W = 2)
+    # independent oracle on random dense (so full-support) elements: p = 4, 5, 6
+    # and 7 windows, and full supports of 255 (p = 2, W = 4) and 80 (p = 3, W = 2)
     # nontrivial monomials
     rng = np.random.default_rng(77)
     lam = 0.45
     for (p, lo, hi), count in [((2, 0, 1), 3), ((4, -1, 0), 2), ((6, 0, 0), 2), ((6, 2, 2), 1),
-                               ((2, -2, 1), 1), ((3, 0, 1), 1)]:
+                               ((2, -2, 1), 1), ((3, 0, 1), 1), ((5, -1, 0), 1), ((7, 1, 1), 2)]:
         w = weyl.WeylWindow(p, lo, hi)
         for _ in range(count):
             a = random_element(w, rng)
             assert np.count_nonzero(weyl.weyl_expand(a)) == p ** (2 * w.n_sites)
             assert weyl.weyl_lip_norm(a, lam) == pytest.approx(brute_force_lip(a, lam), rel=1e-9)
+
+
+@pytest.mark.parametrize("p, lo, hi", [
+    (2, 0, 0), (2, -1, 0), (2, -1, 1), (2, -2, 1), (3, 1, 1), (3, -1, 0), (3, -1, 1),
+    (4, 0, 0), (4, -1, 0), (5, 2, 2), (5, 0, 1), (6, -3, -3), (6, -1, 0), (7, 0, 0), (7, 1, 2),
+])
+def test_bound_table_bit_identical_to_the_digit_division(p, lo, hi):
+    # the broadcast per-site tables give ℓ_λ and B bit for bit as the digit
+    # division and int64 character product did, so the visit order is the same;
+    # full supports at p = 6 and 7 on two sites need several chunks
+    w = weyl.WeylWindow(p, lo, hi)
+    rng = np.random.default_rng(100 * p + 10 * (hi - lo) + hi % 10)
+    full = p ** (2 * w.n_sites) - 1
+    for k in sorted({1, 2, min(8, full), full // 2, full} - {0}):
+        c = np.zeros((p,) * (2 * w.n_sites), dtype=np.complex128)
+        c.reshape(-1)[1 + rng.choice(full, k, replace=False)] = (rng.standard_normal(k)
+                                                                 + 1j * rng.standard_normal(k))
+        E = np.argwhere(c)
+        E = E[E.any(axis=1)]
+        lens, num = weyl._bound_table(w, c, E, 0.45)
+        want_lens, want_num = oracles.bound_table(w, c, E, 0.45)
+        assert lens.tobytes() == want_lens.tobytes()
+        assert num.tobytes() == want_num.tobytes()
+        order = np.argsort(-(num[1:] / lens[1:]), kind="stable")
+        assert np.array_equal(order, np.argsort(-(want_num[1:] / want_lens[1:]), kind="stable"))
 
 
 def test_expand_roundtrip_p5():
