@@ -3,20 +3,23 @@ on tensor powers of M_p, Minkowski-sum growth of integer lattice sets under
 unimodular toral matrices, the eigenvalue closed form Σ_{|λ|>=1} log|λ|, and
 a computable box bound on sum-set cardinalities.
 
-Lattice sets are stored as sorted unique uint64 keys packing the
-coordinates: 32 bits per coordinate for p <= 2, 16 bits for p in {3, 4}
-(the cat-map run to n = 14 reaches coordinates near 5·10^5, beyond 16
-bits). Each set also carries its coordinate bounding box. A Minkowski sum
-is translate-and-merge: every point of the smaller summand translates the
-larger summand's keys by one integer add, which keeps their order, and
-the sorted runs are merged by a stable sort and deduplicated by comparing
-neighbours. The box of a sum is the sum of the boxes; it is checked
-against the field range before any add, because an add that leaves the
-field would carry silently into the next one. Packing overflow aborts
-rather than wraps. Translates are merged in batches of at most 2^22 keys,
-with the lattice cap checked after each batch. The growth
-S_n = Σ_{j<n} T^j K_m adds the cube T^j K_m as p segments
-{-m..m}·T^j e_i, so a step holds at most (2m+1)·|S| candidate keys.
+Lattice points pack into uint64 keys: 32 bits per coordinate for p <= 2,
+16 bits for p in {3, 4} (the cat-map run to n = 14 reaches coordinates
+near 5·10^5, beyond 16 bits), the first coordinate lowest. A lattice set is
+stored as the maximal runs of consecutive keys, each a row segment along
+the first coordinate, and carries its coordinate bounding box. A Minkowski
+sum translates the runs of one summand by the keys of the other, in
+whichever orientation forms fewer candidate runs, and merges them with
+two value sorts, one of the starts and one of the stops, cutting a run
+wherever a start lies past the previous stop + 1; this is exact for a
+union of integer intervals. The box of a sum is the sum of the boxes; it
+is checked against the field range before any add, because an add that
+leaves the field would carry silently into the next one. Packing overflow
+aborts rather than wraps. Candidate runs are merged in batches of at most
+2^22, with the lattice cap checked on the cardinality after each batch.
+The growth S_n = Σ_{j<n} T^j K_m adds the cube T^j K_m as p segments
+{-m..m}·T^j e_i, so each sum forms at most 2m+1 candidate runs per run
+of the running sum; along the cat map's growth a run holds about 8.5 keys.
 
 Orbit product sets of twisted monomials add exponents as the same packed
 keys and come back as a read-only sequence over an int64 exponent array
@@ -29,9 +32,11 @@ as diagnostics; no claimed limits.
 from __future__ import annotations
 
 import functools
+import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
@@ -92,6 +97,13 @@ def _unpack(keys: np.ndarray, p: int) -> np.ndarray:
     return pts
 
 
+def _shifts(keys: np.ndarray, p: int) -> np.ndarray:
+    """Packed keys as translations: adding one to a key inside the range
+    translates its point by this key's point (uint64 wraps for negatives)."""
+    bits = _coord_bits(p)
+    return keys - np.uint64(sum(1 << (bits * i + bits - 1) for i in range(p)))
+
+
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sort in place (stable: timsort merges presorted runs) and drop repeats."""
     keys.sort(kind="stable")
@@ -102,62 +114,160 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return np.compress(keep, keys)
 
 
-@dataclass(frozen=True)
-class LatticeSet:
-    """Finite subset of Z^p with set semantics.
+def _integral(x) -> int | None:
+    """x as an int when it is an integral real number, else None."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        pass
+    if isinstance(x, numbers.Real) and isfinite(x) and x == int(x):
+        return int(x)
+    return None
 
-    ``LatticeSet(p, keys)`` takes packed keys in any order, sorts them and
-    drops repeats; ``lo``/``hi`` are the coordinate bounding box, derived
-    from the keys.
+
+def _integral_points(points, p: int) -> np.ndarray:
+    """points as an (N, p) int64 array; a point of another length or a
+    coordinate that is not an integer is a precondition error, a coordinate
+    outside the packable range a resource error."""
+    try:
+        pts = np.asarray(points)
+    except ValueError:  # ragged nesting
+        raise PreconditionError(f"lattice points must form an (N, {p}) array") from None
+    if not pts.size:
+        return np.zeros((0, p), dtype=np.int64)
+    if pts.ndim != 2 or pts.shape[1] != p:
+        raise PreconditionError(f"lattice points must form an (N, {p}) array, not {pts.shape}")
+    if pts.dtype.kind in "fO":
+        try:
+            pts = pts.astype(float)
+        except OverflowError:
+            raise ResourceLimitError("lattice coordinate exceeds the float range") from None
+        except (TypeError, ValueError):  # objects that are not numbers
+            raise PreconditionError("lattice coordinates must be integers") from None
+        if not np.all(np.isfinite(pts) & (pts == np.trunc(pts))):
+            raise PreconditionError("lattice coordinates must be integers")
+    elif pts.dtype.kind not in "biu":
+        raise PreconditionError("lattice coordinates must be integers")
+    # before the cast, which would wrap an unsigned or large float value
+    _check_range(pts.min(axis=0).tolist(), pts.max(axis=0).tolist(), p)
+    return pts.astype(np.int64)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last keys of the maximal runs of sorted unique keys."""
+    brk = np.empty(len(keys) + 1, dtype=bool)
+    brk[0] = brk[-1] = True
+    # keys[:-1] + 1 does not wrap: only the last key can be the largest
+    np.not_equal(keys[1:], keys[:-1] + np.uint64(1), out=brk[1:-1])
+    return np.compress(brk[:-1], keys), np.compress(brk[1:], keys)
+
+
+def _merge_translates(starts, stops, shifts: np.ndarray, runs: "LatticeSet"):
+    """Maximal runs of the union of the runs [starts[i], stops[i]] and the
+    runs of ``runs`` translated by each packed shift in the column ``shifts``,
+    with the cardinality of that union.
+
+    The starts and the stops are sorted separately, which keeps the union:
+    a key x lies in #{starts <= x} - #{stops < x} intervals, so no key
+    between the i-th sorted stop and the (i+1)-th sorted start is covered,
+    and a new run begins exactly where start[i] > stop[i-1] + 1.
+    """
+    s, e = (shifts + runs.starts).ravel(), (shifts + runs.stops).ravel()
+    if len(starts):
+        s, e = np.concatenate([starts, s]), np.concatenate([stops, e])
+    # stable: timsort merges the presorted translates
+    s.sort(kind="stable")
+    e.sort(kind="stable")
+    # no field is ever zero (_check_range), so s - 1 does not wrap where e + 1 might
+    s -= np.uint64(1)
+    cut = np.empty(len(s) + 1, dtype=bool)
+    cut[0] = cut[-1] = True
+    np.greater(s[1:], e[:-1], out=cut[1:-1])
+    # each compress frees the candidates it replaces
+    s = np.compress(cut[:-1], s)
+    s += np.uint64(1)
+    e = np.compress(cut[1:], e)
+    # the sums wrap modulo 2^64, and their difference is below it
+    return s, e, (int(e.sum()) - int(s.sum())) % (1 << 64) + len(s)
+
+
+@dataclass(frozen=True, init=False)
+class LatticeSet:
+    """Finite subset of Z^p with set semantics, stored as the maximal runs
+    of consecutive packed keys.
+
+    A run is a row segment: the lowest coordinate steps by one and the
+    others stay fixed. No packed field is ever zero (``_check_range`` keeps
+    coordinates above -2^(bits-1)), so a run never crosses into the next
+    row, and a run translated by a packed shift is again a run.
+    ``starts``/``stops`` are the first and last keys of the runs, sorted,
+    with at least one absent key between runs; ``lo``/``hi`` are the
+    coordinate bounding box. ``LatticeSet(p, keys)`` takes packed keys in
+    any order, with repeats, and derives the runs and the box from them.
     """
 
     p: int
-    keys: np.ndarray = field(repr=False)
-    lo: tuple[int, ...] = field(init=False)
-    hi: tuple[int, ...] = field(init=False)
+    starts: np.ndarray = field(repr=False)
+    stops: np.ndarray = field(repr=False)
+    cardinality: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
 
-    def __post_init__(self):
-        keys = _sorted_unique(np.array(self.keys, dtype=np.uint64).ravel())
-        pts = _unpack(keys, self.p)
-        lo = tuple(pts.min(axis=0).tolist()) if len(keys) else (0,) * self.p
-        hi = tuple(pts.max(axis=0).tolist()) if len(keys) else (0,) * self.p
-        self._set(keys, lo, hi)
+    def __init__(self, p: int, keys):
+        keys = _sorted_unique(np.array(keys, dtype=np.uint64).ravel())
+        used = _coord_bits(p) * p
+        if used < 64 and len(keys) and keys[-1] >> np.uint64(used):
+            raise PreconditionError(f"key {keys[-1]} has bits beyond the {p} packed fields")
+        pts = _unpack(keys, p)
+        lo = tuple(pts.min(axis=0).tolist()) if len(keys) else (0,) * p
+        hi = tuple(pts.max(axis=0).tolist()) if len(keys) else (0,) * p
+        _check_range(lo, hi, p)
+        self._set(p, *_runs(keys), len(keys), lo, hi)
 
-    def _set(self, keys: np.ndarray, lo, hi) -> None:
-        keys.flags.writeable = False
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def _set(self, p: int, starts: np.ndarray, stops: np.ndarray, card: int, lo, hi) -> None:
+        for arr in (starts, stops):
+            arr.flags.writeable = False
+        for name, value in (("p", p), ("starts", starts), ("stops", stops),
+                            ("cardinality", card), ("lo", lo), ("hi", hi)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _trusted(cls, p: int, keys: np.ndarray, lo, hi) -> "LatticeSet":
-        """A set from keys already sorted and unique and their box, unchecked."""
+    def _from_runs(cls, p: int, starts, stops, card: int, lo, hi) -> "LatticeSet":
+        """A set from maximal runs, their key count and their box, unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "p", p)
-        self._set(keys, lo, hi)
+        self._set(p, starts, stops, card, lo, hi)
         return self
 
     @classmethod
     def from_points(cls, p: int, points) -> "LatticeSet":
-        pts = np.asarray(points, dtype=np.int64).reshape(-1, p)
+        pts = _integral_points(points, p)
         if not len(pts):
-            return cls._trusted(p, np.zeros(0, dtype=np.uint64), (0,) * p, (0,) * p)
+            empty = np.zeros(0, dtype=np.uint64)
+            return cls._from_runs(p, empty, empty, 0, (0,) * p, (0,) * p)
         keys = _sorted_unique(_pack(pts, p))
-        return cls._trusted(p, keys, tuple(pts.min(axis=0).tolist()),
-                            tuple(pts.max(axis=0).tolist()))
+        return cls._from_runs(p, *_runs(keys), len(keys), tuple(pts.min(axis=0).tolist()),
+                              tuple(pts.max(axis=0).tolist()))
 
     @classmethod
     def cube(cls, p: int, m: int) -> "LatticeSet":
         if m < 0:
             raise PreconditionError("cube radius must be >= 0")
+        # before the grid is allocated
+        _check_range((-m,) * p, (m,) * p, p)
+        check_cap("lattice_card", (2 * m + 1) ** p, "lattice set")
         axes = [np.arange(-m, m + 1)] * p
         grid = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([g.ravel() for g in grid])
         return cls.from_points(p, pts)
 
     @property
-    def cardinality(self) -> int:
-        return int(self.keys.size)
+    def keys(self) -> np.ndarray:
+        """The sorted packed keys: the runs expanded, a new array per call."""
+        lengths = (self.stops - self.starts + np.uint64(1)).astype(np.int64)
+        first = np.cumsum(lengths) - lengths  # position of each run's first key
+        # uint64 arithmetic wraps modulo 2^64, and the sum comes back in range
+        return np.arange(self.cardinality, dtype=np.uint64) + np.repeat(
+            self.starts - first.astype(np.uint64), lengths)
 
     def points(self) -> np.ndarray:
         return _unpack(self.keys, self.p)
@@ -165,24 +275,28 @@ class LatticeSet:
     def __contains__(self, point) -> bool:
         if len(point) != self.p:
             raise PreconditionError(f"point {point} has wrong length for p={self.p}")
-        if not all(lo <= x <= hi for x, lo, hi in zip(point, self.lo, self.hi)):
+        coords = [_integral(x) for x in point]
+        if None in coords or not all(lo <= x <= hi for x, lo, hi in zip(coords, self.lo, self.hi)):
             return False
-        key = _pack(np.array([point], dtype=np.int64), self.p)[0]
-        i = np.searchsorted(self.keys, key)
-        return bool(i < len(self.keys) and self.keys[i] == key)
+        key = _pack(np.array([coords], dtype=np.int64), self.p)[0]
+        i = int(np.searchsorted(self.starts, key, side="right")) - 1
+        return i >= 0 and bool(key <= self.stops[i])
 
 
-# candidate keys translated per merge: about 32 MB
+# candidate runs translated per merge: two uint64 arrays of about 32 MB each
 _MERGE_BUDGET = 1 << 22
 
 
 def minkowski_sum(a: LatticeSet, b: LatticeSet) -> LatticeSet:
     """{x + y : x in a, y in b}; cardinality kept under the lattice cap.
 
-    Translates of the larger key array, one per point of the smaller set,
-    are merged into the running sum in batches of at most _MERGE_BUDGET
-    keys, with the cap checked after each batch; peak memory is about
-    |a + b| + _MERGE_BUDGET keys.
+    The runs of one summand are translated by the keys of the other, in
+    whichever orientation forms fewer candidate runs, and merged into the
+    running sum's runs in batches of at most _MERGE_BUDGET candidate runs,
+    with the cap checked on the cardinality (keys, not runs) before the
+    first batch and after each one. Memory follows run counts, not
+    cardinalities: besides the summands and the sum, a batch holds two
+    keys per candidate run.
     """
     if a.p != b.p:
         raise PreconditionError("summands have different dimensions")
@@ -193,17 +307,15 @@ def minkowski_sum(a: LatticeSet, b: LatticeSet) -> LatticeSet:
     hi = tuple(x + y for x, y in zip(a.hi, b.hi))
     # inside the range a translate is one add per key and keeps the order
     _check_range(lo, hi, p)
-    small, large = (a, b) if a.cardinality <= b.cardinality else (b, a)
-    check_cap("lattice_card", large.cardinality, "lattice set")
-    origin = _pack(np.zeros((1, p), dtype=np.int64), p)
-    shifts = small.keys - origin  # wraps modulo 2^64 for negative offsets
-    batch = max(1, _MERGE_BUDGET // large.cardinality)
-    keys = None
-    for start in range(0, len(shifts), batch):
-        translates = (shifts[start:start + batch, None] + large.keys[None, :]).ravel()
-        keys = _sorted_unique(translates if keys is None else np.concatenate([keys, translates]))
-        check_cap("lattice_card", len(keys), "lattice set")
-    return LatticeSet._trusted(p, keys, lo, hi)
+    check_cap("lattice_card", max(a.cardinality, b.cardinality), "lattice set")
+    runs, by = (a, b) if len(a.starts) * b.cardinality <= len(b.starts) * a.cardinality else (b, a)
+    shifts = _shifts(by.keys, p)
+    batch = max(1, _MERGE_BUDGET // len(runs.starts))
+    starts = stops = np.zeros(0, dtype=np.uint64)
+    for i in range(0, len(shifts), batch):
+        starts, stops, card = _merge_translates(starts, stops, shifts[i:i + batch, None], runs)
+        check_cap("lattice_card", card, "lattice set")
+    return LatticeSet._from_runs(p, starts, stops, card, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -604,10 +716,9 @@ def product_set(omega, alpha, n: int):
     first = np.sort(np.unique(_pack(keys, p), return_index=True)[1])
     keys, coeffs = keys[first], coeffs[first]
     check_cap("product_set", len(keys), "product set")
-    origin = _pack(np.zeros((1, p), dtype=np.int64), p)
     for layer in layers[1:]:
         k2, c2 = _monomial_arrays(layer)
-        packed, shifts = _pack(keys, p), _pack(k2, p) - origin
+        packed, shifts = _pack(keys, p), _shifts(_pack(k2, p), p)
         # inside the box's range a sum of exponents is one add of packed keys
         _check_range((keys.min(axis=0) + k2.min(axis=0)).tolist(),
                      (keys.max(axis=0) + k2.max(axis=0)).tolist(), p)

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_minkowski_cap(monkeypatch):
     monkeypatch.setenv("QMETRIC_CAP", "lattice_card=100")
     with pytest.raises(ResourceLimitError):
         entropy.lattice_orbit_card(CAT, 1, 5)
+
+
+def test_cube_checked_before_its_grid_is_built(monkeypatch):
+    monkeypatch.setenv("QMETRIC_CAP", "lattice_card=24")
+    assert entropy.LatticeSet.cube(2, 1).cardinality == 9
+    with pytest.raises(ResourceLimitError):
+        entropy.LatticeSet.cube(2, 2)
+    with pytest.raises(ResourceLimitError):
+        entropy.LatticeSet.cube(3, 2**15)
 
 
 def test_packing_overflow_aborts():
@@ -639,3 +649,126 @@ def test_minkowski_merge_is_bounded_under_the_cap(monkeypatch):
     batched = entropy.minkowski_sum(a, small)
     monkeypatch.setattr(entropy, "_MERGE_BUDGET", 1 << 22)
     assert np.array_equal(batched.keys, entropy.minkowski_sum(a, small).keys)
+
+
+def test_from_points_and_membership_take_integral_points_only():
+    with pytest.raises(PreconditionError):
+        entropy.LatticeSet.from_points(2, [[0.5, 1.7]])
+    bad = ([[0, 0.5]], [[0, float("nan")]], [[0, float("inf")]], [[1j, 0]], [["1", "2"]], [[None, 0]],
+           [[1, 2, 3]], [[1], [2]], [[1, 2], [3]], [1, 2], np.zeros((2, 2, 2), dtype=int))
+    for points in bad:
+        with pytest.raises(PreconditionError):
+            entropy.LatticeSet.from_points(2, points)
+    # integral floats are points; a coordinate outside the field is a resource error
+    assert np.array_equal(entropy.LatticeSet.from_points(2, [[1.0, -2.0]]).keys,
+                          entropy.LatticeSet.from_points(2, [[1, -2]]).keys)
+    for points in ([[2**70, 0]], [[2**2000, 0]], [[2.0**40, 0]],
+                   np.array([[2**63, 0]], dtype=np.uint64)):
+        with pytest.raises(ResourceLimitError):
+            entropy.LatticeSet.from_points(2, points)
+    # as is a key with a zero field, whose run would cross into the next row
+    with pytest.raises(ResourceLimitError):
+        entropy.LatticeSet(2, [2**32])
+    # and a key with bits beyond its fields is no point at all
+    with pytest.raises(PreconditionError):
+        entropy.LatticeSet(1, [2**40 + 2**31])
+    k1 = entropy.LatticeSet.cube(2, 1)
+    assert (1.0, -1) in k1 and (np.int8(1), np.float64(0.0)) in k1
+    for point in ((0.5, 0), (np.float64(-0.5), 0), (float("nan"), 0), (float("inf"), 0), ("0", 0)):
+        assert point not in k1
+
+
+def _edge(p):
+    """A coordinate one step inside the end of the p-dimensional packing field."""
+    return 2**31 - 2 if p <= 2 else 2**15 - 2
+
+
+def _packed(point, p):
+    """The key of a point by the field layout, in Python integers."""
+    bits = 32 if p <= 2 else 16
+    return sum((x + (1 << (bits - 1))) << (bits * i) for i, x in enumerate(point))
+
+
+def _check_sum_against_sets(p, a_pts, b_pts):
+    a = entropy.LatticeSet.from_points(p, a_pts)
+    b = entropy.LatticeSet.from_points(p, b_pts)
+    want = {tuple(x + y for x, y in zip(u, v)) for u in a_pts for v in b_pts}
+    if any(abs(x) > _edge(p) + 1 for point in want for x in point):
+        with pytest.raises(ResourceLimitError):
+            entropy.minkowski_sum(a, b)
+        return
+    got = entropy.minkowski_sum(a, b)
+    starts, stops = got.starts.tolist(), got.stops.tolist()
+    assert all(s <= e for s, e in zip(starts, stops))
+    # maximal: in order, and at least one absent key between two runs
+    assert all(e + 1 < s for e, s in zip(stops, starts[1:]))
+    assert got.cardinality == len(got.keys) == len(want)
+    assert got.keys.tolist() == sorted(_packed(point, p) for point in want)
+    assert set(map(tuple, got.points().tolist())) == want
+
+
+@st.composite
+def _row_points(draw, p):
+    """Up to four rows along the first coordinate, each a random subset of
+    a short stretch (so rows have gaps), near 0 or next to the field edge."""
+    edge = _edge(p)
+    anchor = [draw(st.sampled_from([0, edge, -edge])) for _ in range(p)]
+    points = set()
+    for _ in range(draw(st.integers(0, 4))):
+        rest = [x + draw(st.integers(-2, 2)) for x in anchor[1:]]
+        for dx in draw(st.lists(st.integers(-6, 6), max_size=8)):
+            points.add(tuple([anchor[0] + dx] + rest))
+    # kept inside the packable range, |x| <= edge + 1
+    return sorted({tuple(max(-edge - 1, min(edge + 1, x)) for x in point) for point in points})
+
+
+@pytest.mark.parametrize("budget", [1, entropy._MERGE_BUDGET])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minkowski_runs_match_set_oracle(p, budget, data):
+    a_pts, b_pts = data.draw(_row_points(p)), data.draw(_row_points(p))
+    with mock.patch.object(entropy, "_MERGE_BUDGET", budget):
+        _check_sum_against_sets(p, a_pts, b_pts)
+
+
+@pytest.mark.parametrize("budget", [1, entropy._MERGE_BUDGET])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_minkowski_runs_empty_singletons_and_field_edge(p, budget):
+    edge, zero = _edge(p), (0,) * p
+    top, one = (edge,) * p, (1,) * p
+    row = [(x,) + (5,) * (p - 1) for x in (-3, -2, 0, 4, 5, 6)]
+    cases = [([], []), ([], [zero]), ([zero], []), ([zero], [zero]), ([top], [one]),
+             ([top], [(-edge,) * p]), (row, [zero]), (row, [(1,) + (0,) * (p - 1)]),
+             (row, [(-2,) + (0,) * (p - 1), (5,) + (0,) * (p - 1)]), (row, row),
+             ([top, (edge - 1,) * p], [one, zero]), ([top], [(2,) * p])]
+    with mock.patch.object(entropy, "_MERGE_BUDGET", budget):
+        for a_pts, b_pts in cases:
+            _check_sum_against_sets(p, a_pts, b_pts)
+    # the sum reaching the last key of the packing
+    if p in (2, 4):
+        assert entropy.minkowski_sum(entropy.LatticeSet.from_points(p, [top]),
+                                     entropy.LatticeSet.from_points(p, [one])).stops[-1] == 2**64 - 1
+
+
+# c_1 .. c_16 for the cat map at m = 1, as the key-by-key engine counted them
+CAT_COUNTS = (9, 37, 117, 333, 905, 2409, 6353, 16685, 43741, 114581, 300049, 785617,
+              2056857, 5385013, 14098245, 36909789)
+
+
+def test_cat_counts_pinned_to_n16():
+    assert entropy.lattice_orbit_card(CAT, 1, 16).counts == CAT_COUNTS
+
+
+def test_cat_growth_memory_at_n14():
+    # about 45 MiB traced; the key-by-key engine peaked at 258 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        counts = entropy.lattice_orbit_card(CAT, 1, 14).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == CAT_COUNTS[:14]
+    assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
