@@ -18,12 +18,18 @@ leaves the field would carry silently into the next one. Packing overflow
 aborts rather than wraps. Candidate runs are merged in batches of at most
 2^22, with the lattice cap checked on the cardinality after each batch.
 The growth S_n = Σ_{j<n} T^j K_m adds the cube T^j K_m as p segments
-{-m..m}·T^j e_i, so each sum forms at most 2m+1 candidate runs per run
-of the running sum; along the cat map's growth a run holds about 8.5 keys.
+{-m..m}·T^j e_i, each built straight as runs (the keys of a segment are an
+arithmetic progression), so each sum forms at most 2m+1 candidate runs per
+run of the running sum; along the cat map's growth a run holds about 8.5
+keys.
 
 Orbit product sets of twisted monomials add exponents as the same packed
-keys and come back as a read-only sequence over an int64 exponent array
-and a complex128 coefficient array; each monomial is built when read.
+keys. The kept products are held in key order with the rank of their
+first occurrence, so a layer's candidates are sorted rows, one per layer
+monomial, and one stable sort that merges the rows finds each new key with
+its first (kept product, layer monomial) pair. The products come back as a
+read-only sequence over an int64 exponent array and a complex128
+coefficient array; each monomial is built when read.
 
 Growth slopes are tail regressions with per-step log differences reported
 as diagnostics; no claimed limits.
@@ -191,7 +197,7 @@ def _merge_translates(starts, stops, shifts: np.ndarray, runs: "LatticeSet"):
     return s, e, (int(e.sum()) - int(s.sum())) % (1 << 64) + len(s)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class LatticeSet:
     """Finite subset of Z^p with set semantics, stored as the maximal runs
     of consecutive packed keys.
@@ -204,6 +210,8 @@ class LatticeSet:
     with at least one absent key between runs; ``lo``/``hi`` are the
     coordinate bounding box. ``LatticeSet(p, keys)`` takes packed keys in
     any order, with repeats, and derives the runs and the box from them.
+    Maximal runs are canonical, so equality of ``p`` and the runs is set
+    equality, and the hash is taken over the same.
     """
 
     p: int
@@ -272,6 +280,15 @@ class LatticeSet:
     def points(self) -> np.ndarray:
         return _unpack(self.keys, self.p)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LatticeSet):
+            return NotImplemented
+        return (self.p == other.p and np.array_equal(self.starts, other.starts)
+                and np.array_equal(self.stops, other.stops))
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.starts.tobytes(), self.stops.tobytes()))
+
     def __contains__(self, point) -> bool:
         if len(point) != self.p:
             raise PreconditionError(f"point {point} has wrong length for p={self.p}")
@@ -336,29 +353,48 @@ class GrowthSeries:
         return [float(np.log(b / a)) for a, b in zip(self.counts, self.counts[1:])]
 
 
+def _segment(p: int, column, m: int) -> LatticeSet:
+    """The segment {-m..m}·v for a nonzero column v of Python ints, built from its runs.
+
+    Inside the packable range the key of k·v is key(0) + k·s with
+    s = Σ_i v_i·2^(bits·i), so the sorted keys are key(0) + k·|s| for
+    k = -m..m: one run when |s| = 1, else 2m+1 single keys.
+    """
+    hi = tuple(m * abs(x) for x in column)
+    lo = tuple(-x for x in hi)
+    _check_range(lo, hi, p)
+    bits = _coord_bits(p)
+    zero = sum(1 << (bits * i + bits - 1) for i in range(p))
+    step = abs(sum(x << (bits * i) for i, x in enumerate(column)))
+    if step == 1:
+        starts = np.array([zero - m], dtype=np.uint64)
+        stops = np.array([zero + m], dtype=np.uint64)
+    else:
+        starts = stops = np.uint64(zero - m * step) + np.uint64(step) * np.arange(
+            2 * m + 1, dtype=np.uint64)
+    return LatticeSet._from_runs(p, starts, stops, 2 * m + 1, lo, hi)
+
+
 def lattice_orbit_card(T, m: int, n: int) -> GrowthSeries:
     """Cardinalities c_j of K_m + ζ_T K_m + ... + ζ_T^{j-1} K_m for j = 1..n.
 
     Summed literally, S_{j+1} = S_j + Σ_i {-m..m}·T^j e_i: p Minkowski sums
-    with a (2m+1)-point segment per step.
+    with a (2m+1)-point segment per step. Each segment is built straight
+    from its runs (``_segment``), with no points packed or sorted.
     """
     T = as_unimodular(T)
     if m < 1 or n < 1:
         raise PreconditionError("need m >= 1 and n >= 1")
     p = T.shape[0]
     T_int = T.tolist()
-    ks = np.arange(-m, m + 1, dtype=np.int64)[:, None]
     S = LatticeSet.cube(p, m)
     counts = [S.cardinality]
     Tj = np.eye(p, dtype=np.int64).tolist()
     for _ in range(1, n):
-        # exact integer powers, range-checked before they become int64 arrays
+        # exact integer powers; every segment is range-checked before the first sum
         Tj = int_matmul(T_int, Tj)
-        reach = m * max(abs(x) for row in Tj for x in row)
-        _check_range((-reach,), (reach,), p)
-        for i in range(p):
-            column = np.array([row[i] for row in Tj], dtype=np.int64)
-            S = minkowski_sum(S, LatticeSet.from_points(p, ks * column))
+        for segment in [_segment(p, column, m) for column in zip(*Tj)]:
+            S = minkowski_sum(S, segment)
         counts.append(S.cardinality)
     return GrowthSeries(tuple(counts))
 
@@ -682,6 +718,23 @@ def _monomial_arrays(layer) -> tuple[np.ndarray, np.ndarray]:
     return np.array(exps, dtype=np.int64), np.array(coeffs, dtype=np.complex128)
 
 
+def _first_pairs(keys: np.ndarray, prio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, each with the least priority it carries.
+
+    ``keys`` is a concatenation of sorted rows, which the stable sort
+    (timsort) merges; equal keys then sit in one block, in row order, and
+    the least priority of each block is taken by a reduction.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, prio = keys[order], prio[order]
+    del order
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.minimum.reduceat(prio, starts)
+
+
 def product_set(omega, alpha, n: int):
     """All ordered products a_0 α(a_1) ⋯ α^{n-1}(a_{n-1}) for twisted monomials
     a_i in Ω, one per exponent.
@@ -691,9 +744,17 @@ def product_set(omega, alpha, n: int):
     once the box of the sums is range-checked, a candidate key is a kept
     product's key translated by a layer monomial's packed shift, as in
     minkowski_sum. Reordering phases go into the coefficient, and the first
-    product per exponent over (kept product, layer monomial) pairs is kept;
-    pairs come in batches of at most _MERGE_BUDGET, each followed by a
-    product_set cap check. The products come back sorted by exponent as a
+    product per exponent is kept, first in the row-major order of the
+    (kept product, layer monomial) pairs with the kept products in the
+    order they were first made. The kept products are held sorted by key,
+    each with that rank, so the J layer monomials translate them into J
+    sorted rows, and the pair (rank, j) has the priority rank·J + j; one
+    stable sort merges the rows (``_first_pairs``), and the least priority
+    in each block of equal keys names the first pair. The ranks are made
+    dense before each layer, so rank·J stays small. Pairs come in batches
+    of at most _MERGE_BUDGET, whole columns of kept products, each merged
+    into the layer's running keys and followed by a product_set cap check.
+    The products come back sorted by exponent as a
     read-only ``nctorus.MonomialSequence`` over these checked arrays: its
     ``keys`` and ``coeffs`` are the (N, p) int64 exponents and N complex128
     coefficients, and a monomial is built, without the validating
@@ -713,29 +774,39 @@ def product_set(omega, alpha, n: int):
     phase = omega[0].phase
     p = phase.p
     keys, coeffs = _monomial_arrays(omega)
-    first = np.sort(np.unique(_pack(keys, p), return_index=True)[1])
-    keys, coeffs = keys[first], coeffs[first]
+    # a monomial's priority is its position in Ω, so each exponent keeps its first
+    packed, prio = _first_pairs(_pack(keys, p), np.arange(len(keys)))
+    keys, coeffs = keys[prio], coeffs[prio]
     check_cap("product_set", len(keys), "product set")
     for layer in layers[1:]:
         k2, c2 = _monomial_arrays(layer)
-        packed, shifts = _pack(keys, p), _shifts(_pack(k2, p), p)
+        J = len(k2)
+        shifts = _shifts(_pack(k2, p), p)[:, None]
         # inside the box's range a sum of exponents is one add of packed keys
         _check_range((keys.min(axis=0) + k2.min(axis=0)).tolist(),
                      (keys.max(axis=0) + k2.max(axis=0)).tolist(), p)
-        rows = max(1, _MERGE_BUDGET // len(k2))
-        seen = np.zeros(0, dtype=np.uint64)
-        new_keys, new_coeffs = [], []
-        for start in range(0, len(keys), rows):
-            k1, c1 = keys[start:start + rows], coeffs[start:start + rows]
-            cand = (packed[start:start + rows, None] + shifts[None]).ravel()
-            uniq, first = np.unique(cand, return_index=True)
-            first = np.sort(first[~np.isin(uniq, seen, assume_unique=True)])
-            seen = _sorted_unique(np.concatenate([seen, uniq]))
-            check_cap("product_set", len(seen), "product set")
-            i, j = np.divmod(first, len(k2))
-            new_keys.append(k1[i] + k2[j])
-            twist = np.exp(2j * np.pi * nctorus.reorder_exponent(k1[i], k2[j], phase))
-            new_coeffs.append(_cmul(_cmul(c1[i], c2[j]), twist))
-        keys, coeffs = np.concatenate(new_keys), np.concatenate(new_coeffs)
+        # dense ranks of the kept products in order of their priorities
+        by_rank = np.argsort(prio)
+        ranks = np.empty(len(prio), dtype=np.int64)
+        ranks[by_rank] = np.arange(len(prio))
+        # the priority rank·J + j of the pair (kept product, layer monomial j)
+        # is its row-major index in the rank order of the kept products
+        rows = np.arange(J, dtype=np.int64)[:, None]
+        width = max(1, _MERGE_BUDGET // J)
+        for start in range(0, len(packed), width):
+            cols = slice(start, start + width)
+            # J rows, each the sorted kept keys translated by one shift, so sorted
+            batch = _first_pairs((packed[None, cols] + shifts).ravel(),
+                                 (ranks[None, cols] * J + rows).ravel())
+            if start:
+                batch = _first_pairs(np.concatenate([new_packed, batch[0]]),
+                                     np.concatenate([new_prio, batch[1]]))
+            new_packed, new_prio = batch
+            check_cap("product_set", len(new_packed), "product set")
+        rank, j = np.divmod(new_prio, J)
+        k1, c1 = keys[by_rank[rank]], coeffs[by_rank[rank]]
+        twist = np.exp(2j * np.pi * nctorus.reorder_exponent(k1, k2[j], phase))
+        keys, coeffs = k1 + k2[j], _cmul(_cmul(c1, c2[j]), twist)
+        packed, prio = new_packed, new_prio
     order = np.lexsort(keys.T[::-1])
     return nctorus.TwistedPolynomial._monomials(phase, keys[order], coeffs[order])

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -345,10 +346,10 @@ def test_product_set_symbolic_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         entropy.product_set(omega, alpha, 3)
     # one kept product per batch: the last layer stops long before its 37 batches
-    # (each batch merges its keys into the seen set once)
+    # (Ω takes one first-pair pass, and each batch one, or two with its merge)
     merged = []
-    merge = entropy._sorted_unique
-    monkeypatch.setattr(entropy, "_sorted_unique", lambda keys: merged.append(len(keys)) or merge(keys))
+    merge = entropy._first_pairs
+    monkeypatch.setattr(entropy, "_first_pairs", lambda keys, prio: merged.append(len(keys)) or merge(keys, prio))
     monkeypatch.setattr(entropy, "_MERGE_BUDGET", 9)
     monkeypatch.setenv("QMETRIC_CAP", f"product_set={counts[1]}")
     with pytest.raises(ResourceLimitError):
@@ -357,6 +358,22 @@ def test_product_set_symbolic_cap(monkeypatch):
     monkeypatch.setenv("QMETRIC_CAP", "product_set=8")
     with pytest.raises(ResourceLimitError):
         entropy.product_set(omega, alpha, 1)
+
+
+# sha256 of keys.tobytes() + coeffs.tobytes() for the cat product set at n = 9
+# below, as computed by the np.unique first-occurrence engine it replaced
+CAT_PRODUCT_SHA256 = "92e053146192a1217db9f112b75b6fad6af29921172eb0aecce4083e3f1428be"
+
+
+def test_product_set_bits_pinned_on_cat():
+    phase = nctorus.PhaseMatrix.two_torus((5 ** 0.5 - 1) / 2)
+    tm = nctorus.ToralMap(CAT, [0.25, -0.375])
+    units = [1, 1j, -1, -1j, 1, 1j, -1, -1j, 1]
+    omega = [nctorus.TwistedPolynomial.monomial(phase, k, c)
+             for k, c in zip(itertools.product((-1, 0, 1), repeat=2), units)]
+    out = entropy.product_set(omega, lambda a: nctorus.toral_map_apply(tm, a), 9)
+    assert len(out) == CAT_COUNTS[8]
+    assert hashlib.sha256(out.keys.tobytes() + out.coeffs.tobytes()).hexdigest() == CAT_PRODUCT_SHA256
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -483,6 +500,29 @@ def test_orbit_card_matches_set_oracle(case):
     T, m, n = case
     counts = entropy.lattice_orbit_card(T, m, n).counts
     assert counts == tuple(len(oracle_orbit_set(T, m, j)) for j in range(1, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_segment_equals_packed_points(data):
+    # {-m..m}·v built from its runs against the same points packed and sorted
+    p, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    top = (_edge(p) + 1) // m  # the largest |v_i| whose multiples fit the field
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from([top, -top, top + 1, -top - 1]))
+    unit = [(s,) + (0,) * (p - 1) for s in (1, -1)]  # the columns with |s| = 1
+    column = data.draw(st.one_of(st.sampled_from(unit), st.lists(entry, min_size=p, max_size=p)))
+    assume(any(column))
+    points = np.arange(-m, m + 1)[:, None] * np.array(column, dtype=np.int64)
+    if m * max(map(abs, column)) > _edge(p) + 1:
+        for build in (lambda: entropy._segment(p, column, m),
+                      lambda: entropy.LatticeSet.from_points(p, points)):
+            with pytest.raises(ResourceLimitError):
+                build()
+        return
+    got, want = entropy._segment(p, column, m), entropy.LatticeSet.from_points(p, points)
+    assert got == want
+    assert (got.cardinality, got.lo, got.hi) == (want.cardinality, want.lo, want.hi)
+    assert len(got.starts) == (1 if abs(column[0]) == 1 and not any(column[1:]) else 2 * m + 1)
 
 
 def test_orbit_growth_across_field_raises():
@@ -624,6 +664,24 @@ def test_constructor_normalises_keys_and_derives_box():
     edge = entropy.LatticeSet(3, entropy.LatticeSet.from_points(3, [[32000, 0, 0]]).keys)
     with pytest.raises(ResourceLimitError):
         entropy.minkowski_sum(edge, edge)
+
+
+def test_lattice_sets_compare_and_hash_as_sets():
+    cube = entropy.LatticeSet.cube(2, 1)
+    shuffled = entropy.LatticeSet.from_points(2, cube.points()[[4, 0, 8, 2, 6, 1, 3, 7, 5]])
+    assert cube == shuffled and hash(cube) == hash(shuffled)
+    assert cube == entropy.LatticeSet(2, cube.keys[::-1].copy())
+    assert cube != entropy.LatticeSet.cube(2, 2)
+    assert cube != entropy.LatticeSet.from_points(2, cube.points()[1:])
+    # the same keys read with other fields are another set
+    four = entropy.LatticeSet.cube(4, 1)
+    two = entropy.LatticeSet(2, four.keys)
+    assert np.array_equal(two.starts, four.starts) and two != four
+    assert cube != cube.points().tolist()
+    empty = entropy.LatticeSet.from_points(2, [])
+    assert empty == entropy.minkowski_sum(empty, cube) and empty != entropy.LatticeSet.from_points(3, [])
+    assert {cube, shuffled, empty} == {cube, empty}
+    assert {shuffled: "k1"}[cube] == "k1"
 
 
 def test_minkowski_merge_is_bounded_under_the_cap(monkeypatch):
