@@ -727,7 +727,7 @@ def _first_pairs(keys: np.ndarray, prio: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     order = np.argsort(keys, kind="stable")
     keys, prio = keys[order], prio[order]
-    del order
+    del order  # one candidate-sized array less during the block scan
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])

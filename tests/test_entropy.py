@@ -361,7 +361,7 @@ def test_product_set_symbolic_cap(monkeypatch):
 
 
 # sha256 of keys.tobytes() + coeffs.tobytes() for the cat product set at n = 9
-# below, as computed by the np.unique first-occurrence engine it replaced
+# below: the exponents, their order and every coefficient bit
 CAT_PRODUCT_SHA256 = "92e053146192a1217db9f112b75b6fad6af29921172eb0aecce4083e3f1428be"
 
 
